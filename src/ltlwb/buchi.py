@@ -1,21 +1,24 @@
-"""Generalized Büchi automata from LTL via on-the-fly tableau expansion.
+"""LTL tableau fused with a Kripke structure, and its emptiness check.
 
-The tableau works on negation normal form with an internal Release dual;
-user-facing formulas never see it.  States are the expanded obligation sets
+The tableau (the on-the-fly expansion of Gerth, Peled, Vardi and Wolper)
+works on negation normal form with an internal Release dual; user-facing
+formulas never see it.  States are the expanded obligation sets
 (old, next); one acceptance set guards every eventuality (U or F node of
-the normal form).  The same expansion core runs standalone to build an
-automaton or fused against a structure world's exact valuation, which
-prunes unreachable obligation sets early; the fused route is what keeps
-generated-instance model checking tractable.
+the normal form).  The expansion runs against each structure world's exact
+valuation, which prunes unreachable obligation sets early and keeps
+generated-instance model checking tractable.  Satisfiability runs the same
+product against one self-looped world whose letter is free, so model
+checking and satisfiability share one exploration and one emptiness check.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from .formula import (
     And,
     Bottom,
     Finally,
-    Formula,
     Globally,
     Implies,
     Next,
@@ -36,51 +39,45 @@ class Release(_Binary):
     op = "R"
 
 
+# connective -> (its normal-form connective, that of its negation)
+_NNF_DUAL = {
+    And: (And, Or),
+    Or: (Or, And),
+    Next: (Next, Next),
+    Finally: (Finally, Globally),
+    Globally: (Globally, Finally),
+    Until: (Until, Release),
+    Release: (Release, Until),
+}
+
+
 def to_nnf(f):
     """Negation normal form over {literals, and, or, X, F, G, U, R}."""
-    memo = {}
-
-    def walk(node, neg):
-        key = (node, neg)
-        if key in memo:
-            return memo[key]
+    # both polarities of every subformula, children first
+    pos = {}
+    neg = {}
+    for node in subformulas(f):
         if isinstance(node, Prop):
-            out = Not(node) if neg else node
+            pos[node], neg[node] = node, Not(node)
         elif isinstance(node, Top):
-            out = Bottom() if neg else node
+            pos[node], neg[node] = node, Bottom()
         elif isinstance(node, Bottom):
-            out = Top() if neg else node
+            pos[node], neg[node] = node, Top()
         elif isinstance(node, Not):
-            out = walk(node.arg, not neg)
-        elif isinstance(node, And):
-            cls = Or if neg else And
-            out = cls(walk(node.left, neg), walk(node.right, neg))
-        elif isinstance(node, Or):
-            cls = And if neg else Or
-            out = cls(walk(node.left, neg), walk(node.right, neg))
+            pos[node], neg[node] = neg[node.arg], pos[node.arg]
         elif isinstance(node, Implies):
-            if neg:
-                out = And(walk(node.left, False), walk(node.right, True))
-            else:
-                out = Or(walk(node.left, True), walk(node.right, False))
-        elif isinstance(node, Next):
-            out = Next(walk(node.arg, neg))
-        elif isinstance(node, Finally):
-            out = Globally(walk(node.arg, True)) if neg else Finally(walk(node.arg, False))
-        elif isinstance(node, Globally):
-            out = Finally(walk(node.arg, True)) if neg else Globally(walk(node.arg, False))
-        elif isinstance(node, Until):
-            cls = Release if neg else Until
-            out = cls(walk(node.left, neg), walk(node.right, neg))
-        elif isinstance(node, Release):
-            cls = Until if neg else Release
-            out = cls(walk(node.left, neg), walk(node.right, neg))
+            a, b = node.left, node.right
+            pos[node], neg[node] = Or(neg[a], pos[b]), And(pos[a], neg[b])
+        elif isinstance(node, _Binary):
+            a, b = node.left, node.right
+            cls, dual = _NNF_DUAL[type(node)]
+            pos[node], neg[node] = cls(pos[a], pos[b]), dual(neg[a], neg[b])
+        elif type(node) in _NNF_DUAL:
+            cls, dual = _NNF_DUAL[type(node)]
+            pos[node], neg[node] = cls(pos[node.arg]), dual(neg[node.arg])
         else:
             raise TypeError("unknown formula node %r" % node)
-        memo[key] = out
-        return out
-
-    return walk(f, False)
+    return pos[f]
 
 
 def _refuted(f, letter, memo):
@@ -274,99 +271,8 @@ def _saturate(obligations, letter, refuted=None):
     return out
 
 
-def _eventualities(nnf_root):
-    """U and F nodes of the normal form, with their witness obligations."""
-    pairs = []
-    for node in subformulas(nnf_root):
-        if isinstance(node, Until):
-            pairs.append((node, node.right))
-        elif isinstance(node, Finally):
-            pairs.append((node, node.arg))
-    pairs.sort(key=lambda p: str(p[0]))
-    return pairs
-
-
 def _witnessed(g, witness, old):
     return g not in old or witness in old or isinstance(witness, Top)
-
-
-class GBA:
-    """Explicit generalized Büchi automaton over proposition valuations.
-
-    A run q0 q1 ... reads a word x0 x1 ... when every xi satisfies the
-    literals of qi; it accepts when it starts in an initial state, follows
-    the transition relation, and meets every acceptance set infinitely
-    often.
-    """
-
-    __slots__ = ("olds", "nexts", "succ", "initial", "accept", "eventualities")
-
-    def __init__(self, olds, nexts, succ, initial, accept, eventualities):
-        self.olds = olds
-        self.nexts = nexts
-        self.succ = succ
-        self.initial = initial
-        self.accept = accept
-        self.eventualities = eventualities
-
-    def __len__(self):
-        return len(self.olds)
-
-    def literals(self, q):
-        pos = frozenset(f.name for f in self.olds[q] if isinstance(f, Prop))
-        neg = frozenset(f.arg.name for f in self.olds[q] if isinstance(f, Not))
-        return pos, neg
-
-    def compatible(self, q, valuation):
-        pos, neg = self.literals(q)
-        return pos <= valuation and not (neg & valuation)
-
-
-def ltl_to_gba(f):
-    """Automaton whose language is the set of models of f."""
-    root = to_nnf(f)
-    events = _eventualities(root)
-    order = {g: i for i, g in enumerate(subformulas(root))}
-    index = {}
-    olds = []
-    nexts = []
-    succ_lists = []
-    pending = []
-
-    def intern(pairs):
-        ids = []
-        for old, nxt in pairs:
-            key = (old, nxt)
-            q = index.get(key)
-            if q is None:
-                q = len(olds)
-                index[key] = q
-                olds.append(old)
-                nexts.append(nxt)
-                succ_lists.append(None)
-                pending.append(q)
-            ids.append(q)
-        return ids
-
-    initial = tuple(dict.fromkeys(intern(_saturate([root], None))))
-    while pending:
-        q = pending.pop()
-        if succ_lists[q] is not None:
-            continue
-        ids = intern(_saturate(sorted(nexts[q], key=order.__getitem__), None))
-        succ_lists[q] = tuple(dict.fromkeys(ids))
-    accept = tuple(
-        frozenset(q for q in range(len(olds)) if _witnessed(g, w, olds[q]))
-        for g, w in events
-    )
-    return GBA(
-        tuple(olds),
-        tuple(nexts),
-        tuple(succ_lists),
-        initial,
-        accept,
-        tuple(g for g, _ in events),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -498,48 +404,33 @@ def _stitch_witness(succ, initial, comp_set, accept_sets):
 
 
 # ---------------------------------------------------------------------------
-# products
+# product: structure x tableau, explored from the reachable valuations only
 
-def product_lasso(s, start_world, gba):
-    """Accepting lasso of structure x prebuilt automaton, as (prefix, cycle)
-    lists of (world, state) pairs, or None."""
-    nodes = {}
-    adj = {}
-    initial = []
-    worklist = []
-    for q in gba.initial:
-        if gba.compatible(q, s.labels[start_world]):
-            node = (start_world, q)
-            if node not in nodes:
-                nodes[node] = True
-                worklist.append(node)
-            initial.append(node)
-    while worklist:
-        w, q = worklist.pop()
-        out = []
-        for w2 in s.succ[w]:
-            for q2 in gba.succ[q]:
-                if gba.compatible(q2, s.labels[w2]):
-                    node = (w2, q2)
-                    out.append(node)
-                    if node not in nodes:
-                        nodes[node] = True
-                        worklist.append(node)
-        adj[(w, q)] = list(dict.fromkeys(out))
-    accept_sets = [
-        {n for n in adj if n[1] in acc} for acc in gba.accept
-    ]
-    return find_accepting_lasso(adj, initial, accept_sets)
+# one self-looped world whose letter is free; the product with it accepts
+# exactly the models of the formula
+_FREE = SimpleNamespace(names=("free",), succ=((0,),), labels=(None,))
 
 
-def fused_product_lasso(s, start_world, f):
-    """Accepting lasso of structure x tableau of f, expanding obligation
-    sets only against the valuations actually reachable; (prefix, cycle)
-    world-index lists, or None."""
+def _accepting_run(s, start_world, f):
+    """Accepting lasso of structure x tableau of f, as (prefix, cycle) lists
+    of (world, old, next) product nodes, or None.
+
+    Obligation sets are expanded only against the valuations actually
+    reachable.  A world labelled None reads a free letter: its expansion
+    records literals instead of resolving them, and its states keep their
+    positive literals, which spell the letter they read.
+    """
     root = to_nnf(f)
-    events = _eventualities(root)
-    order = {g: i for i, g in enumerate(subformulas(root))}
+    subs = subformulas(root)
+    order = {g: i for i, g in enumerate(subs)}
+    # eventualities with their witnesses, in subformula order
+    events = [
+        (g, g.right if isinstance(g, Until) else g.arg)
+        for g in subs
+        if isinstance(g, (Until, Finally))
+    ]
     relevant = frozenset(g for pair in events for g in pair)
+    with_letter = relevant | frozenset(g for g in subs if isinstance(g, Prop))
     witness_of = dict(events)
     expand_cache = {}
     refuted_memos = {}
@@ -549,6 +440,8 @@ def fused_product_lasso(s, start_world, f):
     # be redeemed, so no accepting run passes through a state carrying it
     future = {}
     for w in range(len(s.names)):
+        if s.labels[w] is None:
+            continue
         seen = set(s.succ[w])
         stack = list(seen)
         while stack:
@@ -564,21 +457,24 @@ def fused_product_lasso(s, start_world, f):
         key = (obligations_key, world)
         hit = expand_cache.get(key)
         if hit is None:
+            letter = s.labels[world]
             memo = refuted_memos.setdefault(world, {})
             fmemo = future_memos.setdefault(world, {})
             obligations = sorted(obligations_key, key=order.__getitem__)
-            pairs = _saturate(obligations, s.labels[world], memo)
+            pairs = _saturate(obligations, letter, memo)
+            # acceptance only ever looks up eventualities and their
+            # witnesses in old, so states differing elsewhere in old
+            # are indistinguishable onward; fold them together, except
+            # that a free world's states keep the letter they read
+            keep = relevant if letter is not None else with_letter
             hit = []
             for old, nxt in pairs:
-                if any(
+                if letter is not None and any(
                     g in witness_of and _never_true(witness_of[g], future[world], fmemo)
                     for g in nxt
                 ):
                     continue
-                # acceptance only ever looks up eventualities and their
-                # witnesses in old, so states differing elsewhere in old
-                # are indistinguishable onward; fold them together
-                hit.append((old & relevant, nxt))
+                hit.append((old & keep, nxt))
             hit = list(dict.fromkeys(hit))
             expand_cache[key] = hit
         return hit
@@ -609,8 +505,28 @@ def fused_product_lasso(s, start_world, f):
     accept_sets = [
         {n for n in adj if _witnessed(g, wit, n[1])} for g, wit in events
     ]
-    found = find_accepting_lasso(adj, initial, accept_sets)
+    return find_accepting_lasso(adj, initial, accept_sets)
+
+
+def fused_product_lasso(s, start_world, f):
+    """Lasso of s from start_world satisfying f, as (prefix, cycle) world
+    index lists, or None."""
+    found = _accepting_run(s, start_world, f)
     if found is None:
         return None
     prefix, cycle = found
     return [n[0] for n in prefix], [n[0] for n in cycle]
+
+
+def model_word(f):
+    """Lasso word (prefix letters, cycle letters) of a model of f, or None.
+
+    Letters are frozensets of proposition names, read off the run over the
+    free world.
+    """
+    found = _accepting_run(_FREE, 0, f)
+    if found is None:
+        return None
+    prefix, cycle = found
+    letter = lambda n: frozenset(g.name for g in n[1] if isinstance(g, Prop))
+    return [letter(n) for n in prefix], [letter(n) for n in cycle]

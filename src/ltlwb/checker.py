@@ -2,8 +2,9 @@
 
 sat() routes by fragment: pure-X formulas reduce to propositional
 satisfiability after flattening, large {F,G} formulas go to the bounded
-lasso engine, everything else through the automaton construction.  Every
-witness is revalidated with eval_on_lasso before it is returned.
+lasso engine, everything else to the tableau product over one world whose
+letter is free.  Every witness is revalidated with eval_on_lasso before it
+is returned.
 
 mc_universal checks the complement: a formula holds on all paths from a
 world exactly when no path satisfies its negation, decided by the fused
@@ -12,7 +13,10 @@ structure x tableau product.
 
 from __future__ import annotations
 
-from .buchi import find_accepting_lasso, fused_product_lasso, ltl_to_gba
+# find_accepting_lasso is no longer called here; it stays importable from
+# this module because the benchmark's traced run (bench/spans.py) wraps it
+# under this name
+from .buchi import find_accepting_lasso, fused_product_lasso, model_word
 from .fgsat import fg_sat
 from .formula import (
     And,
@@ -31,12 +35,12 @@ from .formula import (
     x_flatten,
 )
 from .kripke import KripkeStructure, Lasso, eval_on_lasso, validate_structure
-from .propsat import solve_cdcl
+from .propsat import TSEITIN, solve_cdcl
 
 _X_ONLY = frozenset("X")
 _FG_ONLY = frozenset("FG")
 
-# below this closure size the automaton route is cheap and exercises the
+# below this closure size the tableau route is cheap and exercises the
 # general machinery; above it the {F,G} encoding scales much better
 FG_CUTOFF = 40
 
@@ -84,11 +88,12 @@ def sat(f):
     fragment = fragment_of(g)
     if fragment <= _X_ONLY:
         witness = _x_witness(g)
-    elif fragment <= _FG_ONLY and len(subformulas(g)) >= FG_CUTOFF:
-        found = fg_sat(g)
-        witness = None if found is None else _word_witness(found[0], found[1])
     else:
-        witness = _gba_witness(g)
+        if fragment <= _FG_ONLY and len(subformulas(g)) >= FG_CUTOFF:
+            found = fg_sat(g)
+        else:
+            found = model_word(g)
+        witness = None if found is None else _word_witness(*found)
     if witness is None:
         return None
     s, lasso = witness
@@ -109,17 +114,6 @@ def _word_witness(prefix_letters, cycle_letters):
         range(len(prefix_letters)), range(len(prefix_letters), len(letters))
     )
     return s, lasso
-
-
-def _gba_witness(g):
-    gba = ltl_to_gba(g)
-    adj = {q: list(gba.succ[q]) for q in range(len(gba))}
-    found = find_accepting_lasso(adj, gba.initial, [set(a) for a in gba.accept])
-    if found is None:
-        return None
-    prefix, cycle = found
-    letters = [gba.literals(q)[0] for q in prefix + cycle]
-    return _word_witness(letters[: len(prefix)], letters[len(prefix) :])
 
 
 def _x_witness(g):
@@ -174,35 +168,9 @@ def _solve_flattened(f):
             if key not in atoms:
                 atoms[key] = alloc()
             var[node] = atoms[key]
-        elif isinstance(node, Top):
+        elif type(node) in TSEITIN:
             v = var[node] = alloc()
-            clauses.append((v,))
-        elif isinstance(node, Bottom):
-            v = var[node] = alloc()
-            clauses.append((-v,))
-        elif isinstance(node, Not):
-            v, a = alloc(), var[node.arg]
-            var[node] = v
-            clauses.append((-v, -a))
-            clauses.append((v, a))
-        elif isinstance(node, And):
-            v, a, b = alloc(), var[node.left], var[node.right]
-            var[node] = v
-            clauses.append((-v, a))
-            clauses.append((-v, b))
-            clauses.append((v, -a, -b))
-        elif isinstance(node, Or):
-            v, a, b = alloc(), var[node.left], var[node.right]
-            var[node] = v
-            clauses.append((-v, a, b))
-            clauses.append((v, -a))
-            clauses.append((v, -b))
-        elif isinstance(node, Implies):
-            v, a, b = alloc(), var[node.left], var[node.right]
-            var[node] = v
-            clauses.append((-v, -a, b))
-            clauses.append((v, a))
-            clauses.append((v, -b))
+            clauses.extend(TSEITIN[type(node)](v, *(var[c] for c in node.children())))
         else:
             raise ValueError("unexpected %s node after flattening" % node.op)
     clauses.append((var[g],))
@@ -301,7 +269,7 @@ def brute_mc(i, bound):
     """False iff some lasso of total length <= bound falsifies the formula.
 
     Complete for mc_universal once bound covers the product-state count;
-    independent of the automaton machinery by construction.
+    independent of the tableau machinery by construction.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")

@@ -22,21 +22,10 @@ out the spurious fixpoints a naive recurrence over the loop would admit.
 
 from __future__ import annotations
 
-from .formula import (
-    And,
-    Bottom,
-    Finally,
-    Globally,
-    Implies,
-    Not,
-    Or,
-    Prop,
-    Top,
-    subformulas,
-)
-from .propsat import solve_cdcl
+from .formula import Finally, Globally, Prop, subformulas
+from .propsat import TSEITIN, solve_cdcl
 
-_BOOL = (Prop, Top, Bottom, Not, And, Or, Implies)
+_BOOL = (Prop, *TSEITIN)
 
 
 def fg_sat(f):
@@ -84,33 +73,21 @@ def _solve_shape(f, subs, prefix_len, cycle_len):
 
     clauses = []
     for node in subs:
+        gate = TSEITIN.get(type(node))
+        kids = node.children()
         for i in range(total):
             v = var(node, i)
             if isinstance(node, Prop):
                 continue
-            if isinstance(node, Top):
-                clauses.append((v,))
-            elif isinstance(node, Bottom):
-                clauses.append((-v,))
-            elif isinstance(node, Not):
-                a = var(node.arg, i)
-                clauses.append((-v, -a))
-                clauses.append((v, a))
-            elif isinstance(node, And):
-                a, b = var(node.left, i), var(node.right, i)
-                clauses.append((-v, a))
-                clauses.append((-v, b))
-                clauses.append((v, -a, -b))
-            elif isinstance(node, Or):
-                a, b = var(node.left, i), var(node.right, i)
-                clauses.append((-v, a, b))
-                clauses.append((v, -a))
-                clauses.append((v, -b))
-            elif isinstance(node, Implies):
-                a, b = var(node.left, i), var(node.right, i)
-                clauses.append((-v, -a, b))
-                clauses.append((v, a))
-                clauses.append((v, -b))
+            if gate is not None:
+                # arity spelled out: building the argument list in a
+                # comprehension made this loop a sixth slower
+                if len(kids) == 2:
+                    clauses.extend(gate(v, var(kids[0], i), var(kids[1], i)))
+                elif kids:
+                    clauses.extend(gate(v, var(kids[0], i)))
+                else:
+                    clauses.extend(gate(v))
             elif isinstance(node, Finally):
                 if i < prefix_len:
                     a, w = var(node.arg, i), var(node, i + 1)
@@ -122,7 +99,7 @@ def _solve_shape(f, subs, prefix_len, cycle_len):
                     clauses.append(tuple([-v] + args))
                     for a in args:
                         clauses.append((v, -a))
-            else:
+            else:  # Globally
                 if i < prefix_len:
                     a, w = var(node.arg, i), var(node, i + 1)
                     clauses.append((-v, a))

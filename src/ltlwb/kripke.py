@@ -73,9 +73,6 @@ class KripkeStructure:
         except KeyError:
             raise KeyError("unknown world %r" % name) from None
 
-    def successors(self, i):
-        return self.succ[i]
-
     def __eq__(self, other):
         if not isinstance(other, KripkeStructure):
             return NotImplemented

@@ -2,13 +2,27 @@
 
 Deterministic by construction (activity ties break on variable index), no
 external dependencies.  Used by the X-fragment satisfiability route and the
-bounded-model search; the test oracles use a separate plain backtracking
-solver so the two never share code.
+bounded-model search, which encode formulas with the one Tseitin gate table
+below; the test oracles use a separate plain backtracking solver so the two
+never share code.
 """
 
 from __future__ import annotations
 
 import heapq
+
+from .formula import And, Bottom, Implies, Not, Or, Top
+
+# Tseitin definition of v <-> op(args) for each Boolean connective, as
+# clauses over the variables of the node and of its children in order
+TSEITIN = {
+    Top: lambda v: [(v,)],
+    Bottom: lambda v: [(-v,)],
+    Not: lambda v, a: [(-v, -a), (v, a)],
+    And: lambda v, a, b: [(-v, a), (-v, b), (v, -a, -b)],
+    Or: lambda v, a, b: [(-v, a, b), (v, -a), (v, -b)],
+    Implies: lambda v, a, b: [(-v, -a, b), (v, a), (v, -b)],
+}
 
 
 class _Solver:
@@ -246,15 +260,3 @@ def solve_cdcl(clauses, nvars=None):
     if not s.search():
         return None
     return {v: bool(s.assign[v]) for v in range(1, nvars + 1)}
-
-
-def check_assignment(clauses, assignment):
-    """True iff every clause has a literal made true by the assignment."""
-    for c in clauses:
-        for l in c:
-            val = assignment.get(abs(l), False)
-            if (l > 0) == val:
-                break
-        else:
-            return False
-    return True

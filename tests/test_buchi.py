@@ -1,16 +1,11 @@
-"""Automaton construction: normal form, state invariants, language checks."""
+"""Tableau core: normal form, state invariants, language checks, products."""
 
 import random
 
 from ltlwb import And, Bottom, Finally, Globally, Implies, Next, Not, Or, Prop, Top, Until, parse
-from ltlwb.buchi import (
-    Release,
-    find_accepting_lasso,
-    fused_product_lasso,
-    ltl_to_gba,
-    product_lasso,
-    to_nnf,
-)
+from ltlwb.buchi import Release, _saturate, fused_product_lasso, model_word, to_nnf
+from ltlwb.checker import McInstance, brute_mc
+from ltlwb.formula import subformulas
 from ltlwb.kripke import KripkeStructure, Lasso, eval_on_lasso, validate_lasso
 
 from helpers import random_formula
@@ -29,14 +24,6 @@ def word_structure(prefix_letters, cycle_letters):
         range(len(prefix_letters), len(letters)),
     )
     return s, lasso
-
-
-def gba_adjacency(gba):
-    return {q: list(gba.succ[q]) for q in range(len(gba))}
-
-
-def gba_accept_sets(gba):
-    return [set(acc) for acc in gba.accept]
 
 
 def random_total_structure(rng, nworlds, names=("p", "q")):
@@ -128,6 +115,17 @@ class TestNormalForm:
         assert f.left == Not(Prop("p"))
         assert f.right == Not(Prop("q"))
 
+    def test_deep_nesting(self):
+        # nesting far beyond the interpreter's recursion limit
+        f = Prop("p")
+        for _ in range(10000):
+            f = Not(Implies(Prop("q"), Not(f)))
+        g = to_nnf(f)
+        for _ in range(10000):
+            assert g.left == Prop("q")
+            g = g.right
+        assert g == Prop("p")
+
 
 def _walk(f):
     seen, stack = set(), [f]
@@ -153,13 +151,28 @@ def _random_lasso(rng, s):
     return Lasso(walk[:j], walk[j:])
 
 
+def free_states(f):
+    """Every (old, next) leaf reachable by free expansion from f's normal form."""
+    root = to_nnf(f)
+    order = {g: i for i, g in enumerate(subformulas(root))}
+    initial = _saturate([root], None)
+    states = set(initial)
+    stack = list(initial)
+    while stack:
+        _, nxt = stack.pop()
+        for leaf in _saturate(sorted(nxt, key=order.__getitem__), None):
+            if leaf not in states:
+                states.add(leaf)
+                stack.append(leaf)
+    return initial, states
+
+
 class TestStateInvariants:
     def present(self, x, old):
         return isinstance(x, Top) or x in old
 
-    def check(self, gba):
-        for q in range(len(gba)):
-            old, nxt = gba.olds[q], gba.nexts[q]
+    def check(self, states):
+        for old, nxt in states:
             for f in old:
                 if isinstance(f, Prop):
                     assert Not(f) not in old
@@ -183,45 +196,28 @@ class TestStateInvariants:
                     assert self.present(f.arg, old) or f in nxt
                 elif isinstance(f, Globally):
                     assert self.present(f.arg, old) and f in nxt
-        # one acceptance set per eventuality, defined by witness visibility
-        assert len(gba.accept) == len(gba.eventualities)
-        for acc, g in zip(gba.accept, gba.eventualities):
-            wit = g.right if isinstance(g, Until) else g.arg
-            for q in range(len(gba)):
-                member = (
-                    g not in gba.olds[q]
-                    or wit in gba.olds[q]
-                    or isinstance(wit, Top)
-                )
-                assert (q in acc) == member
 
     def test_random_formulas(self):
         rng = random.Random(103)
         for _ in range(120):
             f = random_formula(rng, rng.randint(1, 9))
-            self.check(ltl_to_gba(f))
+            self.check(free_states(f)[1])
 
     def test_top_single_unconstrained_state(self):
-        gba = ltl_to_gba(parse("true"))
-        assert len(gba) == 1
-        assert gba.olds[0] == frozenset()
-        assert gba.succ[0] == (0,)
-        assert gba.initial == (0,)
-        assert find_accepting_lasso(gba_adjacency(gba), gba.initial, gba_accept_sets(gba))
+        initial, states = free_states(parse("true"))
+        assert initial == [(frozenset(), frozenset())]
+        assert states == set(initial)
+        assert model_word(parse("true")) == ([], [frozenset()])
 
     def test_contradiction_empty(self):
-        gba = ltl_to_gba(parse("p & !p"))
-        assert gba.initial == ()
-        assert (
-            find_accepting_lasso(gba_adjacency(gba), gba.initial, gba_accept_sets(gba))
-            is None
-        )
+        assert free_states(parse("p & !p")) == ([], set())
+        assert model_word(parse("p & !p")) is None
 
 
 class TestLanguage:
-    def accepts(self, gba, prefix_letters, cycle_letters):
+    def accepts(self, f, prefix_letters, cycle_letters):
         s, _ = word_structure(prefix_letters, cycle_letters)
-        return product_lasso(s, 0, gba) is not None
+        return fused_product_lasso(s, 0, f) is not None
 
     def all_words(self, total, names=("p",)):
         alphabet = []
@@ -235,16 +231,14 @@ class TestLanguage:
 
     def test_globally_finally(self):
         f = parse("G F p")
-        gba = ltl_to_gba(f)
         for pre, cyc in self.all_words(4):
             s, lasso = word_structure(pre, cyc)
-            assert self.accepts(gba, pre, cyc) == eval_on_lasso(s, lasso, f)
+            assert self.accepts(f, pre, cyc) == eval_on_lasso(s, lasso, f)
 
     def test_random_formula_language(self):
         rng = random.Random(104)
         for _ in range(200):
             f = random_formula(rng, rng.randint(1, 7), names=("p", "q"))
-            gba = ltl_to_gba(f)
             n = rng.randint(1, 5)
             cyc = rng.randint(1, n)
             letters = [
@@ -252,9 +246,25 @@ class TestLanguage:
                 for _ in range(n)
             ]
             s, lasso = word_structure(letters[: n - cyc], letters[n - cyc :])
-            assert self.accepts(gba, letters[: n - cyc], letters[n - cyc :]) == eval_on_lasso(
+            assert self.accepts(f, letters[: n - cyc], letters[n - cyc :]) == eval_on_lasso(
                 s, lasso, f
             )
+
+    def test_model_word_against_small_words(self):
+        # a word found over the free world models f; when none is found, no
+        # lasso word of at most four letters over {p} does either
+        rng = random.Random(107)
+        words = list(self.all_words(4))
+        for _ in range(150):
+            f = random_formula(rng, rng.randint(1, 7), names=("p",))
+            found = model_word(f)
+            if found is not None:
+                s, lasso = word_structure(*found)
+                assert eval_on_lasso(s, lasso, f)
+            else:
+                for pre, cyc in words:
+                    s, lasso = word_structure(pre, cyc)
+                    assert not eval_on_lasso(s, lasso, f)
 
 
 def _tuples(alphabet, n):
@@ -266,23 +276,25 @@ def _tuples(alphabet, n):
             yield rest + (a,)
 
 
+BRUTE_BOUND = 6
+
+
 class TestProducts:
-    def test_fused_agrees_with_prebuilt(self):
+    def test_fused_agrees_with_brute(self):
+        # independent of the tableau: a returned lasso is a path of s that
+        # satisfies f, and when none is returned brute force finds no lasso
+        # of at most BRUTE_BOUND worlds satisfying f
         rng = random.Random(105)
-        for _ in range(300):
+        for _ in range(400):
             f = random_formula(rng, rng.randint(1, 8))
             s = random_total_structure(rng, rng.randint(1, 4))
             fused = fused_product_lasso(s, s.init, f)
-            built = product_lasso(s, s.init, ltl_to_gba(f))
-            assert (fused is None) == (built is None)
             if fused is not None:
                 lasso = Lasso(fused[0], fused[1])
                 validate_lasso(s, lasso)
                 assert eval_on_lasso(s, lasso, f)
-                prefix, cycle = built
-                lasso2 = Lasso([n[0] for n in prefix], [n[0] for n in cycle])
-                validate_lasso(s, lasso2)
-                assert eval_on_lasso(s, lasso2, f)
+            else:
+                assert brute_mc(McInstance(s, s.init, Not(f)), BRUTE_BOUND)
 
     def test_counterexample_duality(self):
         # a path satisfies !f exactly when it does not satisfy f; the fused

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ltlwb import And, Globally, Not, Prop, parse, fragment_of
+from ltlwb import And, Globally, Next, Not, Prop, parse, fragment_of
 from ltlwb.checker import (
     FG_CUTOFF,
     McInstance,
@@ -26,6 +26,14 @@ from helpers import random_formula
 
 def self_loop(labels=()):
     return KripkeStructure(["a"], [("a", "a")], {"a": list(labels)}, "a")
+
+
+def next_chain(depth):
+    """X^depth p."""
+    f = Prop("p")
+    for _ in range(depth):
+        f = Next(f)
+    return f
 
 
 def random_total_structure(rng, nworlds, names=("p", "q")):
@@ -196,6 +204,15 @@ class TestMcUniversal:
             f = random_formula(rng, rng.randint(1, 6))
             i = McInstance(s, 0, f)
             assert mc_universal(i) == (exists_path(s, 0, Not(f)) is None)
+
+    def test_deep_next_holds(self):
+        # nesting far beyond the interpreter's recursion limit
+        assert mc_universal(McInstance(self_loop(["p"]), 0, next_chain(10000)))
+
+    def test_deep_next_counterexample(self):
+        # the counterexample is revalidated with eval_on_lasso before it is
+        # returned, which is most of this test's time
+        assert mc_counterexample(McInstance(self_loop(), 0, next_chain(2000))) is not None
 
 
 class TestMcXBounded:

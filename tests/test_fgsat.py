@@ -41,6 +41,8 @@ class TestFgSat:
         assert produced > 100
 
     def test_agrees_with_automaton_route(self):
+        # these formulas are below FG_CUTOFF, so sat() decides them with the
+        # tableau product over one free world
         rng = random.Random(302)
         for _ in range(300):
             f = random_formula(rng, rng.randint(1, 10), ops="FG")

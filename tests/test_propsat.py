@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from ltlwb.propsat import check_assignment, solve_cdcl
+from ltlwb.oracles import check_assignment_cnf
+from ltlwb.propsat import solve_cdcl
 
 
 def brute_sat(clauses, nvars):
     for bits in itertools.product([False, True], repeat=nvars):
         assignment = {v: bits[v - 1] for v in range(1, nvars + 1)}
-        if check_assignment(clauses, assignment):
+        if check_assignment_cnf(clauses, assignment):
             return assignment
     return None
 
@@ -61,7 +62,7 @@ class TestSolveCdcl:
         clauses, nvars = pigeonhole(3, 3)
         model = solve_cdcl(clauses, nvars)
         assert model is not None
-        assert check_assignment(clauses, model)
+        assert check_assignment_cnf(clauses, model)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(307)
@@ -80,7 +81,7 @@ class TestSolveCdcl:
                 assert model is None
             else:
                 assert model is not None
-                assert check_assignment(clauses, model)
+                assert check_assignment_cnf(clauses, model)
 
     def test_deterministic(self):
         clauses, nvars = pigeonhole(3, 3)
