@@ -21,17 +21,23 @@ class Formula:
         return ()
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._key() == other._key()
+        # explicit stack of node pairs, so deep trees compare without recursion
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            if type(a) is Prop:
+                if a.name != b.name:
+                    return False
+            else:
+                stack.extend(zip(a.children(), b.children()))
+        return True
 
     def __hash__(self):
         return self._hash
-
-    def _key(self):
-        return self.children()
 
     def __str__(self):
         return format_formula(self)
@@ -48,9 +54,6 @@ class Prop(Formula):
     def __init__(self, name):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(("p", name)))
-
-    def _key(self):
-        return self.name
 
 
 class Top(Formula):

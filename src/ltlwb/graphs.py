@@ -1,4 +1,10 @@
-"""Syntax graphs, CNF graphs, decompositions, and width computation.
+"""Syntax graphs, tree and path decompositions, and width computation.
+
+A reduction builds the syntax graph of the formula it emits (or the
+structure graph of its Kripke structure) together with a witness
+decomposition; `check_decomposition` validates the witness, `width` reads
+its width and `format_decomposition` writes it as `bag I v1 v2 ...` lines
+followed by `link I J` lines.
 
 Exact treewidth and pathwidth run a subset dynamic program over elimination
 orderings and layouts, so they are limited to small vertex counts; larger
@@ -22,32 +28,28 @@ from .formula import (
 )
 
 
-class GraphFormatError(ValueError):
-    """Raised on malformed graph or decomposition text."""
-
-
 class Graph:
     """Undirected graph with named, role-labeled vertices and no self-loops."""
 
-    __slots__ = ("names", "roles", "edges", "adj", "_index")
+    __slots__ = ("names", "roles", "edges", "adj")
 
     def __init__(self, vertices, edges):
         names = []
         roles = []
-        self._index = {}
+        index = {}
         for name, role in vertices:
-            if name in self._index:
+            if name in index:
                 raise ValueError("duplicate vertex %r" % name)
-            self._index[name] = len(names)
+            index[name] = len(names)
             names.append(name)
             roles.append(role)
         self.names = tuple(names)
         self.roles = tuple(roles)
         edge_set = set()
         for a, b in edges:
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise ValueError("edge (%r, %r) references unknown vertex" % (a, b))
-            ia, ib = self._index[a], self._index[b]
+            ia, ib = index[a], index[b]
             if ia == ib:
                 raise ValueError("self-loop at %r" % a)
             edge_set.add((min(ia, ib), max(ia, ib)))
@@ -60,27 +62,6 @@ class Graph:
 
     def __len__(self):
         return len(self.names)
-
-    def index(self, name):
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError("unknown vertex %r" % name) from None
-
-    def edge_names(self):
-        return sorted(tuple(sorted((self.names[a], self.names[b]))) for a, b in self.edges)
-
-    def __eq__(self, other):
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return (
-            self.names == other.names
-            and self.roles == other.roles
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.roles, self.edges))
 
 
 class Decomposition:
@@ -111,11 +92,17 @@ class Decomposition:
 
     def is_tree(self):
         n = len(self.bags)
-        if n == 0:
+        if n == 0 or len(self.links) != n - 1:
             return False
-        if len(self.links) != n - 1:
-            return False
-        return self._connected_bags(set(range(n)))
+        adj = self.link_adjacency()
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            for c in adj[frontier.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+        return len(seen) == n
 
     def is_path(self):
         if not self.is_tree():
@@ -130,21 +117,6 @@ class Decomposition:
     def __hash__(self):
         return hash((self.bags, self.links))
 
-    def _connected_bags(self, targets):
-        if not targets:
-            return True
-        adj = self.link_adjacency()
-        start = next(iter(targets))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            b = frontier.pop()
-            for c in adj[b]:
-                if c in targets and c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return seen == targets
-
 
 def width(d):
     """Maximal bag size minus one."""
@@ -156,27 +128,30 @@ def width(d):
 def check_decomposition(g, d):
     """Violations of the cover and connectivity conditions; empty means valid."""
     violations = []
-    vertex_set = set(g.names)
-    covered = set()
+    holding = {v: [] for v in g.names}  # vertex -> indices of the bags holding it
     for i, bag in enumerate(d.bags):
         for v in bag:
-            if v not in vertex_set:
+            if v in holding:
+                holding[v].append(i)
+            else:
                 violations.append("bag %d contains unknown vertex %s" % (i, v))
-        covered |= bag & vertex_set
-    for v in g.names:
-        if v not in covered:
-            violations.append("vertex %s not covered" % v)
+    violations.extend("vertex %s not covered" % v for v in g.names if not holding[v])
     for ia, ib in sorted(g.edges):
         a, b = g.names[ia], g.names[ib]
-        if not any(a in bag and b in bag for bag in d.bags):
+        short, other = (holding[a], b) if len(holding[a]) <= len(holding[b]) else (holding[b], a)
+        if not any(other in d.bags[i] for i in short):
             violations.append("edge %s %s not covered" % (a, b))
     if not d.is_tree():
         violations.append("links do not form a tree")
-    else:
-        for v in g.names:
-            holding = {i for i, bag in enumerate(d.bags) if v in bag}
-            if holding and not d._connected_bags(holding):
-                violations.append("vertex %s occurs in disconnected bags" % v)
+        return violations
+    # in a tree, the bags holding v are connected iff |holding| - 1 links join two of them
+    inner = dict.fromkeys(g.names, 0)
+    for i, j in d.links:
+        for v in d.bags[i] & d.bags[j]:
+            if v in inner:
+                inner[v] += 1
+    violations.extend("vertex %s occurs in disconnected bags" % v
+                      for v in g.names if holding[v] and inner[v] != len(holding[v]) - 1)
     return violations
 
 
@@ -230,120 +205,6 @@ def syntax_graph(f):
         if parent is not None:
             edges.add((parent, name))
     return Graph(vertices, edges)
-
-
-def primal_graph(clauses, nvars=None):
-    """Variables as vertices; an edge joins variables sharing a clause."""
-    if nvars is None:
-        nvars = max((abs(l) for cl in clauses for l in cl), default=0)
-    vertices = [("x%d" % i, "var") for i in range(1, nvars + 1)]
-    edges = set()
-    for cl in clauses:
-        seen = sorted({abs(l) for l in cl})
-        for i, a in enumerate(seen):
-            for b in seen[i + 1 :]:
-                edges.add(("x%d" % a, "x%d" % b))
-    return Graph(vertices, edges)
-
-
-def incidence_graph(clauses, nvars=None):
-    """Variables and clauses as vertices; an edge joins a clause to each
-    variable occurring in it."""
-    if nvars is None:
-        nvars = max((abs(l) for cl in clauses for l in cl), default=0)
-    vertices = [("x%d" % i, "var") for i in range(1, nvars + 1)]
-    vertices.extend(("c%d" % j, "clause") for j in range(1, len(clauses) + 1))
-    edges = set()
-    for j, cl in enumerate(clauses, start=1):
-        for l in cl:
-            edges.add(("c%d" % j, "x%d" % abs(l)))
-    return Graph(vertices, edges)
-
-
-def incidence_minor_check(g, clauses):
-    """Exhibit the incidence graph as a minor of a CNF syntax graph.
-
-    Contraction recipe: merge every negation vertex into its variable, then
-    contract each clause's internal disjunction spine to one vertex and drop
-    the conjunction spine.  Returns violations if the residue differs from
-    the incidence graph; clauses need at least two literals so the spine is
-    nonempty.
-    """
-    violations = []
-    for j, cl in enumerate(clauses, start=1):
-        if len(cl) < 2:
-            return ["clause %d has fewer than 2 literals" % j]
-
-    n = len(g)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for i in range(n):
-        if g.roles[i] == "not":
-            props = [j for j in g.adj[i] if g.roles[j] == "prop"]
-            if len(props) != 1:
-                return ["negation vertex %s is not applied to a variable" % g.names[i]]
-            union(i, props[0])
-    for ia, ib in g.edges:
-        if g.roles[ia] == "or" and g.roles[ib] == "or":
-            union(ia, ib)
-
-    classes = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    kind = {}
-    for root, members in classes.items():
-        roles = {g.roles[m] for m in members}
-        if "prop" in roles:
-            kind[root] = "var"
-        elif "or" in roles:
-            kind[root] = "clause"
-        elif roles <= {"and"}:
-            kind[root] = "drop"
-        else:
-            return ["unexpected vertex roles %s in contraction" % sorted(roles)]
-
-    clause_neighbors = {}
-    for ia, ib in g.edges:
-        ra, rb = find(ia), find(ib)
-        if ra == rb:
-            continue
-        kinds = {kind[ra], kind[rb]}
-        if "drop" in kinds:
-            continue
-        if kinds == {"var"}:
-            violations.append("variables left adjacent after contraction")
-            continue
-        if kinds == {"clause"}:
-            violations.append("clauses left adjacent after contraction")
-            continue
-        cl, var = (ra, rb) if kind[ra] == "clause" else (rb, ra)
-        var_name = next(g.names[m] for m in classes[var] if g.roles[m] == "prop")
-        clause_neighbors.setdefault(cl, set()).add(var_name)
-
-    got = sorted(tuple(sorted(s)) for s in clause_neighbors.values())
-    clause_count = sum(1 for k in kind.values() if k == "clause")
-    if clause_count != len(clauses):
-        violations.append(
-            "contraction yields %d clause vertices, expected %d"
-            % (clause_count, len(clauses))
-        )
-    want = sorted(tuple(sorted({"x%d" % abs(l) for l in cl})) for cl in clauses)
-    if got != want:
-        violations.append("clause adjacency %r differs from incidence %r" % (got, want))
-    var_names = {g.names[i] for i in range(n) if g.roles[i] == "prop"}
-    want_vars = {"x%d" % abs(l) for cl in clauses for l in cl}
-    if var_names != want_vars:
-        violations.append("variable vertices %r differ from %r" % (sorted(var_names), sorted(want_vars)))
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -562,82 +423,7 @@ def _decomposition_from_elimination(g, order):
 
 
 # ---------------------------------------------------------------------------
-# text formats
-
-def parse_graph(text):
-    """Read `v <id> <role>` and `e <id> <id>` lines."""
-    vertices = []
-    edges = []
-    declared = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            if len(parts) != 3:
-                raise GraphFormatError("line %d: v needs id and role" % lineno)
-            if parts[1] in declared:
-                raise GraphFormatError("line %d: duplicate vertex %s" % (lineno, parts[1]))
-            declared.add(parts[1])
-            vertices.append((parts[1], parts[2]))
-        elif parts[0] == "e":
-            if len(parts) != 3:
-                raise GraphFormatError("line %d: e needs two ids" % lineno)
-            if parts[1] not in declared or parts[2] not in declared:
-                raise GraphFormatError("line %d: edge references undeclared vertex" % lineno)
-            if parts[1] == parts[2]:
-                raise GraphFormatError("line %d: self-loop" % lineno)
-            edges.append((parts[1], parts[2]))
-        else:
-            raise GraphFormatError("line %d: unknown directive %r" % (lineno, parts[0]))
-    return Graph(vertices, edges)
-
-
-def format_graph(g):
-    lines = ["v %s %s" % (name, role) for name, role in zip(g.names, g.roles)]
-    lines.extend("e %s %s" % (g.names[a], g.names[b]) for a, b in sorted(g.edges))
-    return "\n".join(lines) + "\n"
-
-
-def parse_decomposition(text):
-    """Read `bag <idx> <vid> ...` and `link <idx> <idx>` lines."""
-    bags = {}
-    links = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "bag":
-            if len(parts) < 2:
-                raise GraphFormatError("line %d: bag needs an index" % lineno)
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise GraphFormatError("line %d: bad bag index" % lineno) from None
-            if idx in bags:
-                raise GraphFormatError("line %d: duplicate bag %d" % (lineno, idx))
-            bags[idx] = parts[2:]
-        elif parts[0] == "link":
-            if len(parts) != 3:
-                raise GraphFormatError("line %d: link needs two indices" % lineno)
-            try:
-                links.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise GraphFormatError("line %d: bad link index" % lineno) from None
-        else:
-            raise GraphFormatError("line %d: unknown directive %r" % (lineno, parts[0]))
-    if not bags:
-        raise GraphFormatError("no bags")
-    if sorted(bags) != list(range(len(bags))):
-        raise GraphFormatError("bag indices must be 0..%d" % (len(bags) - 1))
-    ordered = [bags[i] for i in range(len(bags))]
-    try:
-        return Decomposition(ordered, links if links else None)
-    except ValueError as e:
-        raise GraphFormatError(str(e)) from None
-
+# text format
 
 def format_decomposition(d):
     lines = []

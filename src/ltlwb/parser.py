@@ -38,6 +38,7 @@ _TOKEN = re.compile(
 )
 
 _KEYWORDS = {"X", "F", "G", "U", "true", "false"}
+_UNARY = {"!": Not, "X": Next, "F": Finally, "G": Globally}
 
 
 def _tokenize(source):
@@ -107,20 +108,15 @@ class _Parser:
         return left
 
     def unary(self):
-        kind = self.peek()
-        if kind == "!":
-            self.take("!")
-            return Not(self.unary())
-        if kind == "X":
-            self.take("X")
-            return Next(self.unary())
-        if kind == "F":
-            self.take("F")
-            return Finally(self.unary())
-        if kind == "G":
-            self.take("G")
-            return Globally(self.unary())
-        return self.atom()
+        # iterative, so a long prefix chain such as X X ... X p cannot overflow
+        ops = []
+        while self.peek() in _UNARY:
+            ops.append(_UNARY[self.peek()])
+            self.pos += 1
+        f = self.atom()
+        for op in reversed(ops):
+            f = op(f)
+        return f
 
     def atom(self):
         kind = self.peek()

@@ -29,6 +29,7 @@ from .formula import (
     temporal_depth,
 )
 from .graphs import Decomposition, Graph, syntax_graph, width
+from .instances import cnf_formula
 from .kripke import KripkeStructure, branching_degree
 
 TEMPORAL_ALPHABET = frozenset("XFGU")
@@ -253,8 +254,7 @@ def reduce_pwsat_to_sat(inst, target):
     botup = lambda p: Prop("botup_%d" % p)
     edge = lambda i: And(d(i), Not(d(i + 1)))
 
-    formula_part = conj([disj([q(l) if l > 0 else Not(q(-l)) for l in cl])
-                         for cl in inst.clauses])
+    formula_part = cnf_formula(inst.clauses)
 
     depth_items = [
         Implies(edge(i), conj([m[i % 2], Not(m[1 - i % 2]),

@@ -116,6 +116,22 @@ def test_reduce_sqtile_x_depth_follows_grid_size(tmp_path, capsys):
     assert "td=6" in out
 
 
+def test_reduce_3sat_x_deep_formula_reads_back(tmp_path, capsys):
+    # temporal depth 1000, with variable 1000 in both clauses
+    f = _write(tmp_path, "c.cnf", "p cnf 1000 2\n1000 1 2 0\n1000 3 4 0\n")
+    outdir = tmp_path / "out"
+    code, out, err = run(["reduce", "3sat-x", f, str(outdir)], capsys)
+    assert code == 0
+    assert "td=1000" in out
+    code, out, err = run(
+        ["check", "mc", "--formula", str(outdir / "formula.txt"),
+         "--structure", str(outdir / "structure.txt")],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() == "false"
+
+
 def test_reduce_rejects_overlapping_partition(tmp_path, capsys):
     text = (
         "p cnf 2 1\n1 -2 2 0\n"

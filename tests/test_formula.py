@@ -66,6 +66,14 @@ class TestParse:
     def test_unary_chain(self):
         assert parse("X F G !p") == Next(Finally(Globally(Not(Prop("p")))))
 
+    def test_deep_prefix_chain(self):
+        f = parse("X " * 10000 + "p")
+        assert temporal_depth(f) == 10000
+        for _ in range(10000):
+            assert type(f) is Next
+            f = f.arg
+        assert f == Prop("p")
+
     def test_constants(self):
         assert parse("true U false") == Until(Top(), Bottom())
 
@@ -229,6 +237,18 @@ class TestStructure:
         assert parse("p U q") == parse("p U q")
         assert parse("p U q") != parse("q U p")
         assert hash(parse("F p")) == hash(parse("F p"))
+
+    def test_deep_equality(self):
+        def chain(n, leaf):
+            f = leaf
+            for _ in range(n):
+                f = Next(f)
+            return f
+
+        assert chain(10000, Prop("p")) == chain(10000, Prop("p"))
+        assert chain(10000, Prop("p")) != chain(10000, Prop("q"))
+        assert chain(10000, Prop("p")) != chain(9999, Prop("p"))
+        assert chain(400, And(Prop("p"), Prop("q"))) != chain(400, And(Prop("q"), Prop("p")))
 
     def test_ast_size_counts_occurrences(self):
         assert ast_size(parse("p & p")) == 3

@@ -1,4 +1,4 @@
-"""Syntax graphs, CNF graphs, decompositions, and width computation."""
+"""Syntax graphs, decompositions, and width computation."""
 
 import random
 
@@ -8,21 +8,17 @@ from ltlwb import parse
 from ltlwb.graphs import (
     Decomposition,
     Graph,
-    GraphFormatError,
     check_decomposition,
     exact_pathwidth,
     exact_treewidth,
     format_decomposition,
-    format_graph,
-    incidence_graph,
-    incidence_minor_check,
     minfill_upper,
-    parse_decomposition,
-    parse_graph,
-    primal_graph,
     syntax_graph,
     width,
 )
+from ltlwb.reductions import occurrence_names
+
+from helpers import random_formula
 
 
 def path_graph(n):
@@ -102,29 +98,17 @@ class TestSyntaxGraph:
         g = syntax_graph(parse("p -> (q | true)"))
         assert sorted(g.roles) == ["implies", "or", "prop", "prop", "true"]
 
-
-class TestCnfGraphs:
-    def test_single_clause_primal_triangle(self):
-        g = primal_graph([(1, 2, 3)])
-        assert len(g) == 3
-        assert len(g.edges) == 3
-
-    def test_two_clause_primal_path(self):
-        g = primal_graph([(1, 2), (2, 3)])
-        assert g.edge_names() == [("x1", "x2"), ("x2", "x3")]
-
-    def test_incidence_star(self):
-        g = incidence_graph([(1, 2)])
-        assert sorted(zip(g.names, g.roles)) == [
-            ("c1", "clause"),
-            ("x1", "var"),
-            ("x2", "var"),
-        ]
-        assert g.edge_names() == [("c1", "x1"), ("c1", "x2")]
-
-    def test_negation_counts_as_occurrence(self):
-        g = primal_graph([(1, -2)])
-        assert g.edge_names() == [("x1", "x2")]
+    def test_names_follow_occurrence_paths(self):
+        # reductions name witness bags by occurrence_names; the graph must agree
+        rng = random.Random(229)
+        for _ in range(300):
+            f = random_formula(rng, rng.randint(1, 14), ops="XFGU")
+            g = syntax_graph(f)
+            names = occurrence_names(f)
+            assert set(g.names) == set(names.values())
+            got = {frozenset((g.names[a], g.names[b])) for a, b in g.edges}
+            want = {frozenset((names[path[:-1]], names[path])) for path in names if path}
+            assert got == want
 
 
 class TestDecomposition:
@@ -167,6 +151,64 @@ class TestDecomposition:
     def test_width_requires_bags(self):
         with pytest.raises(ValueError):
             width(Decomposition([]))
+
+    def test_matches_reference_checker(self):
+        rng = random.Random(233)
+        invalid = 0
+        for _ in range(1500):
+            g = random_graph(rng, rng.randint(1, 7))
+            pool = list(g.names)
+            if rng.random() < 0.3:
+                pool += ["u0", "u1"]
+            nbags = rng.randint(1, 6)
+            bags = [rng.sample(pool, rng.randint(0, min(4, len(pool)))) for _ in range(nbags)]
+            r = rng.random()
+            if r < 0.3:
+                links = None
+            elif r < 0.6:
+                links = [(i, rng.randrange(i)) for i in range(1, nbags)]
+            else:
+                links = [(rng.randrange(nbags), rng.randrange(nbags)) for _ in range(nbags)]
+                links = [(i, j) for i, j in links if i != j]
+            d = Decomposition(bags, links)
+            got = check_decomposition(g, d)
+            assert got == _reference_check(g, d)
+            invalid += bool(got)
+        assert 300 < invalid < 1400
+
+
+def _reference_check(g, d):
+    """Cover, edge cover and a per-vertex search over the bags holding it."""
+    out = []
+    for i, bag in enumerate(d.bags):
+        out.extend("bag %d contains unknown vertex %s" % (i, v) for v in bag if v not in g.names)
+    out.extend("vertex %s not covered" % v for v in g.names if not any(v in b for b in d.bags))
+    for ia, ib in sorted(g.edges):
+        a, b = g.names[ia], g.names[ib]
+        if not any(a in bag and b in bag for bag in d.bags):
+            out.append("edge %s %s not covered" % (a, b))
+    n = len(d.bags)
+    if n == 0 or len(d.links) != n - 1 or not _linked(d, set(range(n))):
+        return out + ["links do not form a tree"]
+    for v in g.names:
+        holding = {i for i, bag in enumerate(d.bags) if v in bag}
+        if holding and not _linked(d, holding):
+            out.append("vertex %s occurs in disconnected bags" % v)
+    return out
+
+
+def _linked(d, targets):
+    start = min(targets)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        b = frontier.pop()
+        for i, j in d.links:
+            for x, y in ((i, j), (j, i)):
+                if x == b and y in targets and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return seen == targets
 
 
 class TestExactWidths:
@@ -238,78 +280,18 @@ class TestMinfill:
             assert check_decomposition(g, dec) == []
 
 
-class TestIncidenceMinor:
-    def test_triangle_clause(self):
-        clauses = [(1, 2, 3)]
-        g = syntax_graph(_cnf_formula(clauses))
-        assert incidence_minor_check(g, clauses) == []
-
-    def test_multi_clause_with_negations(self):
-        clauses = [(1, -2, 3), (-1, 2, 2), (2, -3)]
-        g = syntax_graph(_cnf_formula(clauses))
-        assert incidence_minor_check(g, clauses) == []
-
-    def test_random_small_cnfs(self):
-        rng = random.Random(227)
-        for _ in range(60):
-            nv = rng.randint(2, 4)
-            clauses = []
-            for _ in range(rng.randint(1, 4)):
-                ln = rng.randint(2, 3)
-                clauses.append(
-                    tuple(rng.choice([1, -1]) * rng.randint(1, nv) for _ in range(ln))
-                )
-            g = syntax_graph(_cnf_formula(clauses))
-            assert incidence_minor_check(g, clauses) == []
-
-    def test_single_literal_clause_rejected(self):
-        clauses = [(1,)]
-        g = syntax_graph(_cnf_formula(clauses))
-        assert incidence_minor_check(g, clauses) != []
-
-    def test_wrong_graph_detected(self):
-        clauses = [(1, 2), (1, 2)]
-        g = syntax_graph(_cnf_formula([(1, 2)]))
-        assert incidence_minor_check(g, clauses) != []
-
-
-def _cnf_formula(clauses):
-    from ltlwb import Not, Prop, conj, disj
-
-    def lit(l):
-        p = Prop("x%d" % abs(l))
-        return Not(p) if l < 0 else p
-
-    return conj(disj(lit(l) for l in cl) for cl in clauses)
-
-
 class TestTextFormats:
-    def test_graph_roundtrip(self):
-        g = syntax_graph(parse("(p & q) | (p & r)"))
-        text = format_graph(g)
-        assert parse_graph(text) == g
-        assert format_graph(parse_graph(text)) == text
-
-    def test_graph_rejects_bad_lines(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph("v a\n")
-        with pytest.raises(GraphFormatError):
-            parse_graph("v a x\ne a b\n")
-        with pytest.raises(GraphFormatError):
-            parse_graph("v a x\ne a a\n")
-
-    def test_decomposition_roundtrip(self):
-        d = Decomposition([{"a", "b"}, {"b", "c"}, {"b"}], [(0, 1), (1, 2)])
-        text = format_decomposition(d)
-        assert parse_decomposition(text) == Decomposition(d.bags, d.links)
-        assert format_decomposition(parse_decomposition(text)) == text
+    def test_decomposition_golden(self):
+        d = Decomposition([{"b", "a"}, {"c", "b"}, set()], [(2, 1), (0, 1)])
+        assert format_decomposition(d) == "bag 0 a b\nbag 1 b c\nbag 2\nlink 0 1\nlink 1 2\n"
 
     def test_decomposition_default_chain(self):
-        d = parse_decomposition("bag 0 a b\nbag 1 b c\n")
-        assert d.links == ((0, 1),)
+        d = Decomposition([{"a", "b"}, {"b", "c"}, {"c"}])
+        assert d.links == ((0, 1), (1, 2))
+        assert format_decomposition(d).endswith("link 0 1\nlink 1 2\n")
 
     def test_decomposition_bad_indices(self):
-        with pytest.raises(GraphFormatError):
-            parse_decomposition("bag 1 a\n")
-        with pytest.raises(GraphFormatError):
-            parse_decomposition("bag 0 a\nlink 0 5\n")
+        with pytest.raises(ValueError):
+            Decomposition([{"a"}], [(0, 5)])
+        with pytest.raises(ValueError):
+            Decomposition([{"a"}, {"b"}], [(1, 1)])

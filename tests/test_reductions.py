@@ -154,6 +154,13 @@ class TestCnfReduction:
         assert fragment_of(out_x.mc.formula) <= {"X"}
         assert temporal_depth(out_x.mc.formula) == 3
 
+    def test_repeated_deep_literal(self):
+        # variable 400 sits under 400 X's in both clauses; the emitted
+        # formula compares equal deep subtrees while it is built
+        out = reduce_3sat_to_mc(Cnf3(400, [(400, 1, 2), (400, 3, 4)]), "X")
+        check_output(out)
+        assert out.certificates["td"] == 400
+
     def test_witness_width_stays_small(self):
         for n in (1, 5, 20, 50):
             c = Cnf3(n, [(1, -n, n), (-1, 2 if n > 1 else 1, -1)])
