@@ -2,13 +2,19 @@
 
 The tableau (the on-the-fly expansion of Gerth, Peled, Vardi and Wolper)
 works on negation normal form with an internal Release dual; user-facing
-formulas never see it.  States are the expanded obligation sets
-(old, next); one acceptance set guards every eventuality (U or F node of
-the normal form).  The expansion runs against each structure world's exact
-valuation, which prunes unreachable obligation sets early and keeps
-generated-instance model checking tractable.  Satisfiability runs the same
-product against one self-looped world whose letter is free, so model
-checking and satisfiability share one exploration and one emptiness check.
+formulas never see it.  Each call compiles the normal form once into
+arrays indexed by subformula id, ids in bottom-up `subformulas` order: a
+connective kind, the children's ids, and for each literal the bit of its
+complement.  Obligation sets are int bitmasks over those ids; states are
+the expanded (old, next) mask pairs, and one acceptance set guards every
+eventuality (U or F node of the normal form).  The expansion runs against
+each structure world's exact valuation, held as two masks computed once
+per world: the subformulas its letter refutes outright, and the
+eventualities that can never be redeemed in its future.  That prunes
+unreachable obligation sets early and keeps generated-instance model
+checking tractable.  Satisfiability runs the same product against one
+self-looped world whose letter is free, so model checking and
+satisfiability share one exploration and one emptiness check.
 """
 
 from __future__ import annotations
@@ -80,199 +86,231 @@ def to_nnf(f):
     return pos[f]
 
 
-def _refuted(f, letter, memo):
-    """Definite refutation of f by the current letter alone.
+# connective kinds of the compiled normal form; the last four branch
+_LIT, _AND, _NEXT, _GLOBALLY, _OR, _UNTIL, _RELEASE, _FINALLY = range(8)
+_KIND = {And: _AND, Next: _NEXT, Globally: _GLOBALLY, Or: _OR,
+         Until: _UNTIL, Release: _RELEASE, Finally: _FINALLY}
 
-    Sound for pruning: a refuted branch arm dies during its own expansion
-    at this letter, so skipping it drops no leaf.  Next and Finally only
-    constrain later letters and are never refuted here.
+
+class _Tableau:
+    """The normal form of a formula compiled to arrays over subformula ids.
+
+    Ids follow the bottom-up order of `subformulas`, so the root has the
+    highest id and ascending ids are the order obligations expand in.
+    Literals (propositions, their negations, true and false) share one
+    kind; a unary node stores its argument as both children.
     """
-    v = memo.get(f)
-    if v is None:
-        if isinstance(f, Prop):
-            v = f.name not in letter
-        elif isinstance(f, Not):
-            v = f.arg.name in letter
-        elif isinstance(f, And):
-            v = _refuted(f.left, letter, memo) or _refuted(f.right, letter, memo)
-        elif isinstance(f, Or):
-            v = _refuted(f.left, letter, memo) and _refuted(f.right, letter, memo)
-        elif isinstance(f, Until):
-            v = _refuted(f.right, letter, memo) and _refuted(f.left, letter, memo)
-        elif isinstance(f, Release):
-            v = _refuted(f.right, letter, memo)
-        elif isinstance(f, Globally):
-            v = _refuted(f.arg, letter, memo)
-        else:
-            v = isinstance(f, Bottom)
-        memo[f] = v
-    return v
+
+    __slots__ = (
+        "subs", "kind", "left", "right", "clash", "top", "bottom", "props",
+        "literals", "composite", "events", "relevant",
+    )
+
+    def __init__(self, f):
+        subs = self.subs = subformulas(to_nnf(f))
+        ids = {g: i for i, g in enumerate(subs)}
+        n = len(subs)
+        self.kind = [_LIT] * n
+        self.left = list(range(n))
+        self.right = list(range(n))
+        self.clash = [0] * n
+        self.top = self.bottom = self.props = self.relevant = 0
+        self.literals = {}  # proposition name -> [bit of p, bit of !p]
+        self.composite = []  # (id, kind, left, right) of non-literals
+        self.events = []  # (bit of U or F node, bit of its witness)
+        for i, g in enumerate(subs):
+            if isinstance(g, Prop):
+                self.literals.setdefault(g.name, [0, 0])[0] = 1 << i
+                self.props |= 1 << i
+            elif isinstance(g, Not):
+                p = ids[g.arg]
+                self.literals.setdefault(g.arg.name, [0, 0])[1] = 1 << i
+                self.clash[i], self.clash[p] = 1 << p, 1 << i
+            elif isinstance(g, Top):
+                self.top = 1 << i
+            elif isinstance(g, Bottom):
+                self.bottom = 1 << i
+            else:
+                kids = g.children()
+                k = self.kind[i] = _KIND[type(g)]
+                a = self.left[i] = ids[kids[0]]
+                b = self.right[i] = ids[kids[-1]]
+                self.composite.append((i, k, a, b))
+                if k == _UNTIL or k == _FINALLY:
+                    self.events.append((1 << i, 1 << b))
+                    self.relevant |= 1 << i | 1 << b
+
+    def world_masks(self, s, w):
+        """(refuted, doomed, keep) masks for world w of structure s.
+
+        refuted holds the subformulas that w's letter alone refutes.  Sound
+        for pruning: a refuted branch arm dies during its own expansion at
+        this letter, so skipping it drops no leaf.  X and F only constrain
+        later letters and are never refuted here.  A free letter (label
+        None) refutes only false.
+
+        doomed holds the eventualities whose witness is false on every
+        suffix drawing its letters from the union of labels over w's strict
+        future: no accepting run passes through a state that defers one.
+        A negated literal is never false that way, since the union says
+        nothing about any single letter.
+
+        keep is what states at w retain of old.  Acceptance only ever looks
+        up eventualities and their witnesses there, so states differing
+        elsewhere are indistinguishable onward and fold together; a free
+        world's states also keep the positive literals they read.
+        """
+        letter = s.labels[w]
+        if letter is None:
+            return self.bottom, 0, self.relevant | self.props
+        seen = set(s.succ[w])
+        stack = list(seen)
+        while stack:
+            for v in s.succ[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        future = frozenset().union(*(s.labels[v] for v in seen))
+        ref = never = self.bottom
+        for name, (p, q) in self.literals.items():
+            ref |= q if name in letter else p
+            if name not in future:
+                never |= p
+        for i, k, a, b in self.composite:
+            if k == _AND:
+                r = ref >> a | ref >> b
+                v = never >> a | never >> b
+            elif k == _OR:
+                r = ref >> a & ref >> b
+                v = never >> a & never >> b
+            else:
+                v = never >> b
+                if k == _UNTIL:
+                    r = ref >> a & ref >> b
+                elif k == _RELEASE or k == _GLOBALLY:
+                    r = ref >> b
+                else:
+                    r = 0
+            ref |= (r & 1) << i
+            never |= (v & 1) << i
+        doomed = 0
+        for g, wit in self.events:
+            if never & wit:
+                doomed |= g
+        return ref, doomed, self.relevant
 
 
-def _never_true(f, union, memo):
-    """f false on every suffix whose letters all draw from union.
+def _ids(mask):
+    """Ids of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    union is the set of propositions true somewhere in a future-closed
-    region: a bare proposition outside it can never hold again, and the
-    verdict propagates through the normal form.  Negated literals are
-    never refutable this way, since membership in the union says nothing
-    about any single letter.
+
+def _saturate(t, obligations, ref):
+    """Expand the obligation mask into fully processed (old, next) leaf
+    mask pairs of tableau t, against a world whose letter refutes ref.
+
+    An obligation is refuted when ref holds its bit or old holds the
+    complement of its literal: for a labelled world ref resolves every
+    literal on the spot, for the free world it holds only false, and
+    literals are recorded so that later ones can clash with them.  True
+    literals still enter `old` so acceptance witnessing can see them, and
+    `old` starts with true in it, which every state satisfies.
+    Non-branching obligations drain before any disjunctive split, and a
+    split whose arm is already refuted follows the surviving arm in place,
+    so most contradictions surface before the obligation sets get copied.
     """
-    v = memo.get(f)
-    if v is None:
-        if isinstance(f, Prop):
-            v = f.name not in union
-        elif isinstance(f, And):
-            v = _never_true(f.left, union, memo) or _never_true(f.right, union, memo)
-        elif isinstance(f, Or):
-            v = _never_true(f.left, union, memo) and _never_true(f.right, union, memo)
-        elif isinstance(f, (Until, Release)):
-            v = _never_true(f.right, union, memo)
-        elif isinstance(f, (Finally, Globally, Next)):
-            v = _never_true(f.arg, union, memo)
-        else:
-            v = isinstance(f, Bottom)
-        memo[f] = v
-    return v
-
-
-def _saturate(obligations, letter, refuted=None):
-    """Expand obligations into fully processed (old, next) leaf pairs.
-
-    letter is None for a free expansion (literals recorded, contradictions
-    pruned) or a frozenset of true propositions that resolves literals on
-    the spot.  True literals still enter `old` so acceptance witnessing
-    can see them.  Non-branching obligations drain before any disjunctive
-    split, and a split whose arm is already refuted follows the surviving
-    arm in place, so most contradictions surface before the obligation
-    sets get copied.  refuted may carry a letter-keyed memo dict shared
-    across calls expanding against the same letter.
-    """
+    kind, left, right, clash = t.kind, t.left, t.right, t.clash
     out = []
     seen = set()
-    if letter is not None:
-        if refuted is None:
-            refuted = {}
-        sf = lambda g: _refuted(g, letter, refuted)
-    else:
-        # free expansion: only literal clashes with old are decidable
-        sf = lambda g: (
-            isinstance(g, Bottom)
-            or (isinstance(g, Prop) and Not(g) in old)
-            or (isinstance(g, Not) and g.arg in old)
-        )
-    work = [(list(obligations), [], set(), set())]
+    work = [(_ids(obligations), [], t.top, 0)]
     while work:
         new, split, old, nxt = work.pop()
         dead = False
         while new or split:
             if not new:
                 f = split.pop()
-                if f in old:
+                bit = 1 << f
+                if old & bit:
                     continue
-                old.add(f)
-                if isinstance(f, Or):
-                    lf = sf(f.left)
-                    rf = sf(f.right)
+                old |= bit
+                k, a, b = kind[f], left[f], right[f]
+                lf = ref >> a & 1 or old & clash[a]
+                rf = ref >> b & 1 or old & clash[b]
+                if k == _OR:
                     if lf and rf:
                         dead = True
                         break
                     if lf:
-                        new.append(f.right)
+                        new.append(b)
                     elif rf:
-                        new.append(f.left)
+                        new.append(a)
                     else:
-                        work.append((new + [f.right], list(split), set(old), set(nxt)))
-                        new.append(f.left)
-                elif isinstance(f, Until):
-                    lf = sf(f.left)
-                    rf = sf(f.right)
+                        work.append((new + [b], list(split), old, nxt))
+                        new.append(a)
+                elif k == _UNTIL:
                     if lf and rf:
                         dead = True
                         break
                     if rf:
-                        nxt.add(f)
-                        new.append(f.left)
+                        nxt |= bit
+                        new.append(a)
                     elif lf:
-                        new.append(f.right)
+                        new.append(b)
                     else:
-                        defer = (new + [f.left], list(split), set(old), set(nxt))
-                        defer[3].add(f)
-                        work.append(defer)
-                        new.append(f.right)
-                elif isinstance(f, Release):
-                    if sf(f.right):
+                        work.append((new + [a], list(split), old, nxt | bit))
+                        new.append(b)
+                elif k == _RELEASE:
+                    if rf:
                         dead = True
                         break
-                    if sf(f.left):
-                        nxt.add(f)
-                        new.append(f.right)
+                    if lf:
+                        nxt |= bit
+                        new.append(b)
                     else:
-                        defer = (new + [f.right], list(split), set(old), set(nxt))
-                        defer[3].add(f)
-                        work.append(defer)
-                        new.append(f.left)
-                        new.append(f.right)
+                        work.append((new + [b], list(split), old, nxt | bit))
+                        new.append(a)
+                        new.append(b)
                 else:  # Finally
-                    if sf(f.arg):
-                        nxt.add(f)
+                    if lf:
+                        nxt |= bit
                     else:
-                        defer = (list(new), list(split), set(old), set(nxt))
-                        defer[3].add(f)
-                        work.append(defer)
-                        new.append(f.arg)
+                        work.append((list(new), list(split), old, nxt | bit))
+                        new.append(a)
                 continue
             f = new.pop()
-            if f in old:
+            bit = 1 << f
+            if old & bit:
                 continue
-            if isinstance(f, Top):
-                continue
-            if isinstance(f, Bottom):
-                dead = True
-                break
-            if isinstance(f, Prop):
-                if letter is None:
-                    if Not(f) in old:
-                        dead = True
-                        break
-                elif f.name not in letter:
+            k = kind[f]
+            if k == _LIT:
+                if ref & bit or old & clash[f]:
                     dead = True
                     break
-                old.add(f)
-            elif isinstance(f, Not):
-                if letter is None:
-                    if f.arg in old:
-                        dead = True
-                        break
-                elif f.arg.name in letter:
-                    dead = True
-                    break
-                old.add(f)
-            elif isinstance(f, And):
-                old.add(f)
-                new.append(f.left)
-                new.append(f.right)
-            elif isinstance(f, Next):
-                old.add(f)
-                nxt.add(f.arg)
-            elif isinstance(f, Globally):
-                old.add(f)
-                nxt.add(f)
-                new.append(f.arg)
-            elif isinstance(f, (Or, Until, Release, Finally)):
-                split.append(f)
+                old |= bit
+            elif k == _AND:
+                old |= bit
+                new.append(left[f])
+                new.append(right[f])
+            elif k == _NEXT:
+                old |= bit
+                nxt |= 1 << left[f]
+            elif k == _GLOBALLY:
+                old |= bit
+                nxt |= bit
+                new.append(left[f])
             else:
-                raise TypeError("unexpected node %r in normal form" % f)
+                split.append(f)
         if not dead:
-            leaf = (frozenset(old), frozenset(nxt))
+            leaf = (old, nxt)
             if leaf not in seen:
                 seen.add(leaf)
                 out.append(leaf)
     return out
-
-
-def _witnessed(g, witness, old):
-    return g not in old or witness in old or isinstance(witness, Top)
 
 
 # ---------------------------------------------------------------------------
@@ -411,71 +449,31 @@ def _stitch_witness(succ, initial, comp_set, accept_sets):
 _FREE = SimpleNamespace(names=("free",), succ=((0,),), labels=(None,))
 
 
-def _accepting_run(s, start_world, f):
-    """Accepting lasso of structure x tableau of f, as (prefix, cycle) lists
-    of (world, old, next) product nodes, or None.
+def _accepting_run(s, start_world, t):
+    """Accepting lasso of structure x tableau t, as (prefix, cycle) lists of
+    (world, old, next) product nodes, or None.
 
     Obligation sets are expanded only against the valuations actually
     reachable.  A world labelled None reads a free letter: its expansion
     records literals instead of resolving them, and its states keep their
     positive literals, which spell the letter they read.
     """
-    root = to_nnf(f)
-    subs = subformulas(root)
-    order = {g: i for i, g in enumerate(subs)}
-    # eventualities with their witnesses, in subformula order
-    events = [
-        (g, g.right if isinstance(g, Until) else g.arg)
-        for g in subs
-        if isinstance(g, (Until, Finally))
-    ]
-    relevant = frozenset(g for pair in events for g in pair)
-    with_letter = relevant | frozenset(g for g in subs if isinstance(g, Prop))
-    witness_of = dict(events)
     expand_cache = {}
-    refuted_memos = {}
+    world_masks = {}
 
-    # union of labels over the strict future of each world: a deferred
-    # eventuality whose witness can never hold over those letters cannot
-    # be redeemed, so no accepting run passes through a state carrying it
-    future = {}
-    for w in range(len(s.names)):
-        if s.labels[w] is None:
-            continue
-        seen = set(s.succ[w])
-        stack = list(seen)
-        while stack:
-            v = stack.pop()
-            for v2 in s.succ[v]:
-                if v2 not in seen:
-                    seen.add(v2)
-                    stack.append(v2)
-        future[w] = frozenset().union(*(s.labels[v] for v in seen)) if seen else frozenset()
-    future_memos = {}
-
-    def expand(obligations_key, world):
-        key = (obligations_key, world)
+    def expand(obligations, world):
+        key = (obligations, world)
         hit = expand_cache.get(key)
         if hit is None:
-            letter = s.labels[world]
-            memo = refuted_memos.setdefault(world, {})
-            fmemo = future_memos.setdefault(world, {})
-            obligations = sorted(obligations_key, key=order.__getitem__)
-            pairs = _saturate(obligations, letter, memo)
-            # acceptance only ever looks up eventualities and their
-            # witnesses in old, so states differing elsewhere in old
-            # are indistinguishable onward; fold them together, except
-            # that a free world's states keep the letter they read
-            keep = relevant if letter is not None else with_letter
-            hit = []
-            for old, nxt in pairs:
-                if letter is not None and any(
-                    g in witness_of and _never_true(witness_of[g], future[world], fmemo)
-                    for g in nxt
-                ):
-                    continue
-                hit.append((old & keep, nxt))
-            hit = list(dict.fromkeys(hit))
+            masks = world_masks.get(world)
+            if masks is None:
+                masks = world_masks[world] = t.world_masks(s, world)
+            ref, doomed, keep = masks
+            hit = list(dict.fromkeys(
+                (old & keep, nxt)
+                for old, nxt in _saturate(t, obligations, ref)
+                if not nxt & doomed
+            ))
             expand_cache[key] = hit
         return hit
 
@@ -490,20 +488,18 @@ def _accepting_run(s, start_world, f):
                 adj[node] = None
                 worklist.append(node)
             ids.append(node)
-        return list(dict.fromkeys(ids))
+        return ids
 
-    initial = intern(start_world, expand(frozenset([root]), start_world))
+    initial = intern(start_world, expand(1 << len(t.subs) - 1, start_world))
     while worklist:
         node = worklist.pop()
-        if adj[node] is not None:
-            continue
-        w, old, nxt = node
+        w, _, nxt = node
         out = []
         for w2 in s.succ[w]:
             out.extend(intern(w2, expand(nxt, w2)))
         adj[node] = list(dict.fromkeys(out))
     accept_sets = [
-        {n for n in adj if _witnessed(g, wit, n[1])} for g, wit in events
+        {n for n in adj if not n[1] & g or n[1] & wit} for g, wit in t.events
     ]
     return find_accepting_lasso(adj, initial, accept_sets)
 
@@ -511,7 +507,7 @@ def _accepting_run(s, start_world, f):
 def fused_product_lasso(s, start_world, f):
     """Lasso of s from start_world satisfying f, as (prefix, cycle) world
     index lists, or None."""
-    found = _accepting_run(s, start_world, f)
+    found = _accepting_run(s, start_world, _Tableau(f))
     if found is None:
         return None
     prefix, cycle = found
@@ -521,12 +517,13 @@ def fused_product_lasso(s, start_world, f):
 def model_word(f):
     """Lasso word (prefix letters, cycle letters) of a model of f, or None.
 
-    Letters are frozensets of proposition names, read off the run over the
-    free world.
+    Letters are frozensets of proposition names, read off the positive
+    literals that the run's states over the free world keep in old.
     """
-    found = _accepting_run(_FREE, 0, f)
+    t = _Tableau(f)
+    found = _accepting_run(_FREE, 0, t)
     if found is None:
         return None
     prefix, cycle = found
-    letter = lambda n: frozenset(g.name for g in n[1] if isinstance(g, Prop))
+    letter = lambda n: frozenset(t.subs[i].name for i in _ids(n[1] & t.props))
     return [letter(n) for n in prefix], [letter(n) for n in cycle]

@@ -218,7 +218,7 @@ def mc_x_bounded(i):
     while stack:
         path = stack.pop()
         if len(path) == horizon:
-            if not _eval_finite(f, s, path, 0):
+            if not _eval_finite(f, s, path):
                 return False
             continue
         for w in s.succ[path[-1]]:
@@ -226,26 +226,47 @@ def mc_x_bounded(i):
     return True
 
 
-def _eval_finite(f, s, path, pos):
-    if isinstance(f, Prop):
-        return f.name in s.labels[path[pos]]
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Not):
-        return not _eval_finite(f.arg, s, path, pos)
-    if isinstance(f, And):
-        return _eval_finite(f.left, s, path, pos) and _eval_finite(f.right, s, path, pos)
-    if isinstance(f, Or):
-        return _eval_finite(f.left, s, path, pos) or _eval_finite(f.right, s, path, pos)
-    if isinstance(f, Implies):
-        return (not _eval_finite(f.left, s, path, pos)) or _eval_finite(
-            f.right, s, path, pos
-        )
-    if isinstance(f, Next):
-        return _eval_finite(f.arg, s, path, pos + 1)
-    raise ValueError("unexpected %s node in X-fragment evaluation" % f.op)
+def _eval_finite(f, s, path):
+    """Truth of X-fragment f at the first world of a finite path.
+
+    An explicit stack of (node, position) pairs, children first, so deep
+    formulas evaluate without recursion.
+    """
+    val = {}
+    stack = [(f, 0, False)]
+    while stack:
+        node, pos, ready = stack.pop()
+        key = (node, pos)
+        if key in val:
+            continue
+        if isinstance(node, Next):
+            kids = [(node.arg, pos + 1)]
+        else:
+            kids = [(c, pos) for c in node.children()]
+        if not ready:
+            stack.append((node, pos, True))
+            stack.extend((c, p, False) for c, p in kids)
+            continue
+        args = [val[k] for k in kids]
+        if isinstance(node, Prop):
+            val[key] = node.name in s.labels[path[pos]]
+        elif isinstance(node, Top):
+            val[key] = True
+        elif isinstance(node, Bottom):
+            val[key] = False
+        elif isinstance(node, Not):
+            val[key] = not args[0]
+        elif isinstance(node, And):
+            val[key] = args[0] and args[1]
+        elif isinstance(node, Or):
+            val[key] = args[0] or args[1]
+        elif isinstance(node, Implies):
+            val[key] = not args[0] or args[1]
+        elif isinstance(node, Next):
+            val[key] = args[0]
+        else:
+            raise ValueError("unexpected %s node in X-fragment evaluation" % node.op)
+    return val[f, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Exit codes are a stable contract: 0 success (whatever the answer), 1 a
 verification run found a disagreement or bad witness, 2 usage or format
-errors.  Reports go to stdout and are byte-identical for fixed inputs and
-seed; timings go to stderr so the comparable payload stays stable.
+errors, 3 an internal fault (a witness that failed revalidation, or an
+input nested too deeply for a recursive step), reported as one line.
+Reports go to stdout and are byte-identical for fixed inputs and seed;
+timings go to stderr so the comparable payload stays stable.
 """
 
 from __future__ import annotations
@@ -338,6 +340,10 @@ def main(argv=None):
     except _FORMAT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        # RecursionError included
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -319,28 +319,31 @@ def x_flatten(f):
     if bad:
         raise ValueError("x_flatten needs an {X} fragment formula, found %s" % sorted(bad))
 
-    memo = {}
-
-    def push(node, n):
-        key = (node, n)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, Prop):
+    # (node, number of X above it) -> flattened node; an explicit stack of
+    # pairs, children first, so deep formulas flatten without recursion
+    table = {}
+    stack = [(f, 0, False)]
+    while stack:
+        node, n, ready = stack.pop()
+        if (node, n) in table:
+            continue
+        if isinstance(node, Next):
+            kids = [(node.arg, n + 1)]
+        else:
+            kids = [(c, n) for c in node.children()]
+        if not ready:
+            stack.append((node, n, True))
+            stack.extend((c, m, False) for c, m in kids)
+        elif isinstance(node, Prop):
             out = node
             for _ in range(n):
                 out = Next(out)
-        elif isinstance(node, (Top, Bottom)):
-            out = node
+            table[node, n] = out
         elif isinstance(node, Next):
-            out = push(node.arg, n + 1)
-        elif isinstance(node, Not):
-            out = Not(push(node.arg, n))
+            table[node, n] = table[kids[0]]
         else:
-            out = type(node)(push(node.left, n), push(node.right, n))
-        memo[key] = out
-        return out
-
-    return push(f, 0)
+            table[node, n] = type(node)(*(table[k] for k in kids))
+    return table[f, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,16 @@ class _Parser:
         return tok
 
     def implies(self):
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take("->")
-            return Implies(left, self.implies())
-        return left
+        # right-associative; operands collected in a loop and folded from
+        # the right, so a long chain cannot overflow
+        parts = [self.disjunction()]
+        while self.peek() == "->":
+            self.pos += 1
+            parts.append(self.disjunction())
+        f = parts.pop()
+        for left in reversed(parts):
+            f = Implies(left, f)
+        return f
 
     def disjunction(self):
         acc = self.conjunction()
@@ -101,11 +106,15 @@ class _Parser:
         return acc
 
     def until(self):
-        left = self.unary()
-        if self.peek() == "U":
-            self.take("U")
-            return Until(left, self.until())
-        return left
+        # right-associative, folded from the right as implies is
+        parts = [self.unary()]
+        while self.peek() == "U":
+            self.pos += 1
+            parts.append(self.unary())
+        f = parts.pop()
+        for left in reversed(parts):
+            f = Until(left, f)
+        return f
 
     def unary(self):
         # iterative, so a long prefix chain such as X X ... X p cannot overflow

@@ -3,9 +3,16 @@
 import random
 
 from ltlwb import And, Bottom, Finally, Globally, Implies, Next, Not, Or, Prop, Top, Until, parse
-from ltlwb.buchi import Release, _saturate, fused_product_lasso, model_word, to_nnf
+from ltlwb.buchi import (
+    Release,
+    _ids,
+    _saturate,
+    _Tableau,
+    fused_product_lasso,
+    model_word,
+    to_nnf,
+)
 from ltlwb.checker import McInstance, brute_mc
-from ltlwb.formula import subformulas
 from ltlwb.kripke import KripkeStructure, Lasso, eval_on_lasso, validate_lasso
 
 from helpers import random_formula
@@ -152,19 +159,22 @@ def _random_lasso(rng, s):
 
 
 def free_states(f):
-    """Every (old, next) leaf reachable by free expansion from f's normal form."""
-    root = to_nnf(f)
-    order = {g: i for i, g in enumerate(subformulas(root))}
-    initial = _saturate([root], None)
+    """Every (old, next) leaf reachable by free expansion from f's normal
+    form, decoded from the compiled tableau's masks into formula sets."""
+    t = _Tableau(f)
+    initial = _saturate(t, 1 << len(t.subs) - 1, t.bottom)
     states = set(initial)
     stack = list(initial)
     while stack:
         _, nxt = stack.pop()
-        for leaf in _saturate(sorted(nxt, key=order.__getitem__), None):
+        for leaf in _saturate(t, nxt, t.bottom):
             if leaf not in states:
                 states.add(leaf)
                 stack.append(leaf)
-    return initial, states
+    # true sits in every state's old; the invariants never look it up there
+    decode = lambda mask: frozenset(t.subs[i] for i in _ids(mask))
+    leaf = lambda pair: (decode(pair[0] & ~t.top), decode(pair[1]))
+    return [leaf(p) for p in initial], {leaf(p) for p in states}
 
 
 class TestStateInvariants:

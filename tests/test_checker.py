@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ltlwb import And, Globally, Next, Not, Prop, parse, fragment_of
+from ltlwb import And, Finally, Globally, Next, Not, Or, Prop, parse, fragment_of
 from ltlwb.checker import (
     FG_CUTOFF,
     McInstance,
@@ -26,6 +26,11 @@ from helpers import random_formula
 
 def self_loop(labels=()):
     return KripkeStructure(["a"], [("a", "a")], {"a": list(labels)}, "a")
+
+
+def two_world_loop(labels_a):
+    """a <-> b, with a labelled labels_a and b unlabelled."""
+    return KripkeStructure(["a", "b"], [("a", "b"), ("b", "a")], {"a": labels_a}, "a")
 
 
 def next_chain(depth):
@@ -213,6 +218,20 @@ class TestMcUniversal:
         # the counterexample is revalidated with eval_on_lasso before it is
         # returned, which is most of this test's time
         assert mc_counterexample(McInstance(self_loop(), 0, next_chain(2000))) is not None
+
+    def test_deep_disjunction_under_globally(self):
+        # G(q | (q | ... | p)) nested 10^4 deep: b reads neither q nor p
+        f = Prop("p")
+        for _ in range(10000):
+            f = Or(Prop("q"), f)
+        assert not mc_universal(McInstance(two_world_loop(["q"]), 0, Globally(f)))
+
+    def test_deep_conjunction_never_eventually(self):
+        # !F(q & (q & ... & p)) nested 10^4 deep: p holds nowhere
+        f = Prop("p")
+        for _ in range(10000):
+            f = And(Prop("q"), f)
+        assert mc_universal(McInstance(two_world_loop(["q"]), 0, Not(Finally(f))))
 
 
 class TestMcXBounded:

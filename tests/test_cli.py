@@ -2,7 +2,7 @@
 
 import pytest
 
-from ltlwb import cli
+from ltlwb import checker, cli
 
 
 def run(argv, capsys):
@@ -132,6 +132,25 @@ def test_reduce_3sat_x_deep_formula_reads_back(tmp_path, capsys):
     assert out.strip() == "false"
 
 
+def test_reduce_3sat_x_deep_formula_x_routes(tmp_path, capsys):
+    # temporal depth 1000 through the X-fragment routes
+    f = _write(tmp_path, "c.cnf", "p cnf 1000 1\n1 2 1000 0\n")
+    outdir = tmp_path / "out"
+    code, out, err = run(["reduce", "3sat-x", f, str(outdir)], capsys)
+    assert code == 0
+    formula = str(outdir / "formula.txt")
+    code, out, err = run(["check", "sat-x", "--formula", formula], capsys)
+    assert code == 0
+    assert out.strip() in ("sat", "unsat")
+    code, out, err = run(
+        ["check", "mc-x", "--formula", formula,
+         "--structure", str(outdir / "structure.txt")],
+        capsys,
+    )
+    assert code == 0
+    assert out.strip() in ("true", "false")
+
+
 def test_reduce_rejects_overlapping_partition(tmp_path, capsys):
     text = (
         "p cnf 2 1\n1 -2 2 0\n"
@@ -227,6 +246,23 @@ def test_check_sat_x(tmp_path, capsys):
     code, out, err = run(["check", "sat-x", "--formula", f], capsys)
     assert code == 0
     assert out.strip() == "unsat"
+
+
+def test_check_failed_revalidation_is_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(checker, "eval_on_lasso", lambda s, lasso, f: False)
+    f = _write(tmp_path, "f.ltl", "F p\n")
+    code, out, err = run(["check", "sat", "--formula", f], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ")
+
+
+def test_check_deep_parentheses_is_internal_error(tmp_path, capsys):
+    f = _write(tmp_path, "f.ltl", "(" * 600 + "p" + ")" * 600 + "\n")
+    code, out, err = run(["check", "sat", "--formula", f], capsys)
+    assert code == 3
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,14 @@ class TestParse:
             f = f.arg
         assert f == Prop("p")
 
+    def test_deep_until_and_implies_chains(self):
+        # right-nested chains far beyond the interpreter's recursion limit
+        for op, cls in (("U", Until), ("->", Implies)):
+            want = Prop("p")
+            for _ in range(10000):
+                want = cls(Prop("p"), want)
+            assert parse(("p %s " % op) * 10000 + "p") == want
+
     def test_constants(self):
         assert parse("true U false") == Until(Top(), Bottom())
 
