@@ -17,7 +17,7 @@ import time
 
 from . import verify as verify_mod
 from .checker import McInstance, brute_mc, mc_counterexample, mc_x_bounded, sat, sat_x
-from .formula import format_formula, fragment_of, nvar, temporal_depth
+from .formula import format_formula, fragment_of
 from .graphs import (
     EXACT_LIMIT,
     exact_pathwidth,
@@ -122,7 +122,7 @@ def cmd_analyze(args):
         tail = "tw<=%d upper-bound" % w
     print(
         "td=%d nvar=%d fragment=%s %s"
-        % (temporal_depth(f), nvar(f), _fragment_text(f), tail)
+        % (g.td, g.roles.count("prop"), _fragment_text(f), tail)
     )
     return 0
 

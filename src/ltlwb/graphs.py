@@ -6,6 +6,10 @@ decomposition; `check_decomposition` validates the witness, `width` reads
 its width and `format_decomposition` writes it as `bag I v1 v2 ...` lines
 followed by `link I J` lines.
 
+`syntax_graph` alone names syntax vertices (a proposition by its name,
+every other occurrence `@N` in preorder) and, in the same walk, records
+each occurrence's vertex and the formula's temporal depth.
+
 Exact treewidth and pathwidth run a subset dynamic program over elimination
 orderings and layouts, so they are limited to small vertex counts; larger
 graphs get heuristic upper bounds or externally constructed decompositions.
@@ -29,11 +33,17 @@ from .formula import (
 
 
 class Graph:
-    """Undirected graph with named, role-labeled vertices and no self-loops."""
+    """Undirected graph with named, role-labeled vertices and no self-loops.
 
-    __slots__ = ("names", "roles", "edges", "adj")
+    `edges` holds index pairs (i, j) with i < j into `names`/`roles`.  A
+    syntax graph also carries `at`, mapping each occurrence's child-index
+    path (a tuple, () for the root) to its vertex name, and `td`, the
+    formula's temporal depth; other graphs have None for both.
+    """
 
-    def __init__(self, vertices, edges):
+    __slots__ = ("names", "roles", "edges", "at", "td")
+
+    def __init__(self, vertices, edges, at=None, td=None):
         names = []
         roles = []
         index = {}
@@ -54,11 +64,8 @@ class Graph:
                 raise ValueError("self-loop at %r" % a)
             edge_set.add((min(ia, ib), max(ia, ib)))
         self.edges = frozenset(edge_set)
-        adj = [set() for _ in self.names]
-        for ia, ib in self.edges:
-            adj[ia].add(ib)
-            adj[ib].add(ia)
-        self.adj = tuple(tuple(sorted(s)) for s in adj)
+        self.at = at
+        self.td = td
 
     def __len__(self):
         return len(self.names)
@@ -83,18 +90,14 @@ class Decomposition:
             seen.add((min(i, j), max(i, j)))
         self.links = tuple(sorted(seen))
 
-    def link_adjacency(self):
-        adj = [set() for _ in self.bags]
-        for i, j in self.links:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
-
     def is_tree(self):
         n = len(self.bags)
         if n == 0 or len(self.links) != n - 1:
             return False
-        adj = self.link_adjacency()
+        adj = [[] for _ in self.bags]
+        for i, j in self.links:
+            adj[i].append(j)
+            adj[j].append(i)
         seen = {0}
         frontier = [0]
         while frontier:
@@ -103,19 +106,6 @@ class Decomposition:
                     seen.add(c)
                     frontier.append(c)
         return len(seen) == n
-
-    def is_path(self):
-        if not self.is_tree():
-            return False
-        return all(len(s) <= 2 for s in self.link_adjacency())
-
-    def __eq__(self, other):
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return self.bags == other.bags and self.links == other.links
-
-    def __hash__(self):
-        return hash((self.bags, self.links))
 
 
 def width(d):
@@ -158,6 +148,8 @@ def check_decomposition(g, d):
 # ---------------------------------------------------------------------------
 # graph builders
 
+_TEMPORAL = (Next, Finally, Globally, Until)
+
 _ROLE = {
     Not: "not",
     And: "and",
@@ -175,42 +167,55 @@ _ROLE = {
 def syntax_graph(f):
     """One vertex per subformula occurrence, with all occurrences of a
     proposition merged into a single vertex; edges join each node to its
-    immediate subformulas."""
+    immediate subformulas.  The result's `at` and `td` come from the same
+    walk, which counts occurrences, so a subformula object used twice is
+    visited twice."""
     vertices = []
-    prop_vertex = {}
-    edges = set()
-    counter = [0]
-
-    def fresh(role):
-        # "@" keeps generated ids outside the proposition alphabet
-        name = "@%d" % counter[0]
-        counter[0] += 1
-        vertices.append((name, role))
-        return name
-
-    # preorder walk with explicit stack; parent name travels with each node
-    stack = [(f, None)]
+    props = set()
+    edges = []
+    at = {}
+    td = 0
+    counter = 0
+    # preorder walk with explicit stack; each node carries its parent's
+    # vertex, its child-index path and the temporal operators above it
+    stack = [(f, None, (), 0)]
     while stack:
-        node, parent = stack.pop()
+        node, parent, path, depth = stack.pop()
         if isinstance(node, Prop):
-            name = prop_vertex.get(node.name)
-            if name is None:
-                name = node.name
-                prop_vertex[node.name] = name
+            name = node.name
+            if name not in props:
+                props.add(name)
                 vertices.append((name, "prop"))
         else:
-            name = fresh(_ROLE[type(node)])
-            for child in reversed(node.children()):
-                stack.append((child, name))
+            # "@" keeps generated ids outside the proposition alphabet
+            name = "@%d" % counter
+            counter += 1
+            vertices.append((name, _ROLE[type(node)]))
+            if isinstance(node, _TEMPORAL):
+                depth += 1
+                if depth > td:
+                    td = depth
+            children = node.children()
+            for i in range(len(children) - 1, -1, -1):
+                stack.append((children[i], name, path + (i,), depth))
+        at[path] = name
         if parent is not None:
-            edges.add((parent, name))
-    return Graph(vertices, edges)
+            edges.append((parent, name))
+    return Graph(vertices, edges, at, td)
 
 
 # ---------------------------------------------------------------------------
 # exact widths by subset dynamic programming
 
 EXACT_LIMIT = 14
+
+
+def _adj_sets(g):
+    adj = [set() for _ in g.names]
+    for ia, ib in g.edges:
+        adj[ia].add(ib)
+        adj[ib].add(ia)
+    return adj
 
 
 def _adj_masks(g):
@@ -370,7 +375,7 @@ def minfill_upper(g):
     n = len(g)
     if n == 0:
         raise ValueError("empty graph")
-    adj = [set(s) for s in g.adj]
+    adj = _adj_sets(g)
     alive = set(range(n))
     order = []
     while alive:
@@ -401,7 +406,7 @@ def minfill_upper(g):
 def _decomposition_from_elimination(g, order):
     """Bags from an elimination ordering with standard tree links."""
     n = len(g)
-    adj = [set(s) for s in g.adj]
+    adj = _adj_sets(g)
     alive = set(range(n))
     position = {v: i for i, v in enumerate(order)}
     bags = []

@@ -19,8 +19,6 @@ class InstanceFormatError(ValueError):
 
 _COLOR_OK = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
-SIDES = ("u", "d", "l", "r")
-
 
 def _check_clause_vars(clauses, nvars):
     for idx, cl in enumerate(clauses, start=1):

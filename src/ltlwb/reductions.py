@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .checker import McInstance
 from .formula import (
+    TEMPORAL_OPS,
     And,
     Finally,
     Globally,
@@ -31,8 +32,6 @@ from .formula import (
 from .graphs import Decomposition, Graph, syntax_graph, width
 from .instances import cnf_formula
 from .kripke import KripkeStructure, branching_degree
-
-TEMPORAL_ALPHABET = frozenset("XFGU")
 
 # Design widths for the rectangle encodings.  The natural bag recipe lands a
 # little lower on small colour sets; witnesses are padded up to these values
@@ -62,37 +61,21 @@ def drop_conjunct(f):
     """Remove the leftmost conjunct, descending through negation and into
     the last disjunct; the sound-but-incomplete variants this produces are
     what the verification harness uses to prove it can detect breakage."""
-    if isinstance(f, Not):
-        return Not(drop_conjunct(f.arg))
-    if isinstance(f, And):
-        if isinstance(f.left, And):
-            return And(drop_conjunct(f.left), f.right)
-        return f.right
-    if isinstance(f, Or):
-        return Or(f.left, drop_conjunct(f.right))
-    raise ValueError("formula has no conjunct to drop")
-
-
-def occurrence_names(f):
-    """Vertex names of syntax_graph(f) keyed by child-index path.
-
-    Mirrors the graph builder's traversal exactly so the generated "@" ids
-    line up; all occurrences of a proposition share its own vertex.
-    """
-    names = {}
-    counter = 0
-    stack = [(f, ())]
-    while stack:
-        node, path = stack.pop()
-        if isinstance(node, Prop):
-            names[path] = node.name
-            continue
-        names[path] = "@%d" % counter
-        counter += 1
-        children = node.children()
-        for i in range(len(children) - 1, -1, -1):
-            stack.append((children[i], path + (i,)))
-    return names
+    spine = []  # the Not, And and Or nodes passed on the way down
+    while isinstance(f, (Not, Or)) or isinstance(f, And) and isinstance(f.left, And):
+        spine.append(f)
+        f = f.arg if isinstance(f, Not) else f.right if isinstance(f, Or) else f.left
+    if not isinstance(f, And):
+        raise ValueError("formula has no conjunct to drop")
+    f = f.right
+    for w in reversed(spine):
+        if isinstance(w, Not):
+            f = Not(f)
+        elif isinstance(w, Or):
+            f = Or(w.left, f)
+        else:
+            f = And(f, w.right)
+    return f
 
 
 def _chain_items(node, path, count):
@@ -115,10 +98,12 @@ def _chain_items(node, path, count):
 
 
 class _SyntaxPlacer:
-    """Positions-on-a-line builder for syntax-graph path decompositions."""
+    """Positions-on-a-line builder for a path decomposition of syntax
+    graph g; occurrences are addressed by their child-index paths."""
 
-    def __init__(self, f):
-        self.names = occurrence_names(f)
+    def __init__(self, g):
+        self.vertices = g.names
+        self.names = g.at
         self.spots = {}
         self.wides = set()
         self.maxpos = 1
@@ -179,8 +164,7 @@ class _SyntaxPlacer:
                 return node, path
 
     def bags(self):
-        every = set(self.names.values())
-        missing = every - self.wides - set(self.spots)
+        missing = set(self.vertices) - self.wides - set(self.spots)
         if missing:
             raise RuntimeError(
                 "decomposition recipe left %d vertices unplaced" % len(missing)
@@ -214,12 +198,12 @@ def _xpow(f, p):
     return f
 
 
-def _mk_certs(emitted, witness, structure=None):
-    certs = {"td": temporal_depth(emitted), "nvar": nvar(emitted)}
+def _mk_certs(g, witness, structure=None):
+    """Certificates of an emitted formula, measured by its syntax graph g."""
+    certs = {"td": g.td, "nvar": g.roles.count("prop")}
     if structure is not None:
         certs["delta"] = branching_degree(structure)
-    if witness is not None:
-        certs["width"] = width(witness)
+    certs["width"] = width(witness)
     return certs
 
 
@@ -238,7 +222,7 @@ def reduce_pwsat_to_sat(inst, target):
     variables per block exactly.
     """
     target = frozenset(target)
-    if not target or not target <= TEMPORAL_ALPHABET:
+    if not target or not target <= TEMPORAL_OPS:
         raise ValueError("target fragment must be a nonempty subset of XFGU")
     n = inst.nvars
     nparts = len(inst.partitions)
@@ -324,13 +308,13 @@ def reduce_pwsat_to_sat(inst, target):
     else:
         emitted = rewrite_fragment(psi, target)
 
-    witness = _pwsat_witness(emitted, inst)
-    return ReductionOutput(formula=emitted, witness=witness,
-                           witness_graph=syntax_graph(emitted),
-                           certificates=_mk_certs(emitted, witness))
+    g = syntax_graph(emitted)
+    witness = _pwsat_witness(emitted, g, inst)
+    return ReductionOutput(formula=emitted, witness=witness, witness_graph=g,
+                           certificates=_mk_certs(g, witness))
 
 
-def _pwsat_witness(emitted, inst):
+def _pwsat_witness(emitted, g, inst):
     """Sections along variable levels, then along each block's counter.
 
     Clause, freeze, signal, staircase, and persistence conjuncts live in
@@ -352,7 +336,7 @@ def _pwsat_witness(emitted, inst):
         acc += sizes[p] + 1
     section = lambda p, j: offsets[p - 1] + j + 1
 
-    pl = _SyntaxPlacer(emitted)
+    pl = _SyntaxPlacer(g)
     items, joins = _chain_items(emitted, (), 10)
     for p, _ in joins:
         pl.wide(p)
@@ -440,9 +424,10 @@ def reduce_3sat_to_mc(c, op):
         bags.append({"w%dp" % i, "w%dn" % i,
                      "w%dp" % (i + 1), "w%dn" % (i + 1)})
     witness = Decomposition(bags)
+    certs = {"td": temporal_depth(psi), "nvar": nvar(psi),
+             "delta": branching_degree(s), "width": width(witness)}
     return ReductionOutput(mc=mc, witness=witness,
-                           witness_graph=structure_graph(s),
-                           certificates=_mk_certs(psi, witness, s))
+                           witness_graph=structure_graph(s), certificates=certs)
 
 
 # --- square tiling into universal model checking -----------------------------
@@ -525,10 +510,10 @@ def reduce_sqtiling_to_mc_x(t):
     psi = conj(blocks)
     emitted = Not(psi)
     mc = McInstance(s, "wstart", emitted)
-    witness = _square_witness(emitted, t, op=None)
-    return ReductionOutput(mc=mc, witness=witness,
-                           witness_graph=syntax_graph(emitted),
-                           certificates=_mk_certs(emitted, witness, s))
+    g = syntax_graph(emitted)
+    witness = _square_witness(emitted, g, t, op=None)
+    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
+                           certificates=_mk_certs(g, witness, s))
 
 
 def _opf_factory(op):
@@ -556,13 +541,13 @@ def reduce_sqtiling_to_mc_t(t, op):
     psi = conj(blocks)
     emitted = Not(psi)
     mc = McInstance(s, "wstart", emitted)
-    witness = _square_witness(emitted, t, op=op)
-    return ReductionOutput(mc=mc, witness=witness,
-                           witness_graph=syntax_graph(emitted),
-                           certificates=_mk_certs(emitted, witness, s))
+    g = syntax_graph(emitted)
+    witness = _square_witness(emitted, g, t, op=op)
+    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
+                           certificates=_mk_certs(g, witness, s))
 
 
-def _square_witness(emitted, t, op):
+def _square_witness(emitted, g, t, op):
     """One position per (square cell, colour); a block's tower or
     eventuality cluster collapses into the block's last position, and the
     top-level glue spans everything, which is where the quadratic bag
@@ -570,7 +555,7 @@ def _square_witness(emitted, t, op):
     ncolors = len(t.colors)
     kk = t.k * t.k
     nblocks = kk if op is None else kk - 1
-    pl = _SyntaxPlacer(emitted)
+    pl = _SyntaxPlacer(g)
     pl.wide(())
     if nblocks == 0:
         # a single-cell square under an eventuality operator has nothing to
@@ -652,19 +637,19 @@ def reduce_recttiling_to_mc_xf(t):
     emitted = Not(psi)
     s = _rect_structure(t, with_depth=False)
     mc = McInstance(s, "wleft", emitted)
-    witness = _rect_xf_witness(emitted, t)
-    return ReductionOutput(mc=mc, witness=witness,
-                           witness_graph=syntax_graph(emitted),
-                           certificates=_mk_certs(emitted, witness, s))
+    g = syntax_graph(emitted)
+    witness = _rect_xf_witness(emitted, g, t)
+    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
+                           certificates=_mk_certs(g, witness, s))
 
 
-def _rect_xf_witness(emitted, t):
+def _rect_xf_witness(emitted, g, t):
     """Marker propositions ride in every bag; each tower of
     next-operators unrolls into a run of paired positions and each colour
     check takes a single one, so bag sizes never see the tower lengths."""
     n = t.n
     ncolors = len(t.colors)
-    pl = _SyntaxPlacer(emitted)
+    pl = _SyntaxPlacer(g)
     for name in ("q_left", "q_right", "q_end"):
         pl.wide_name(name)
     pl.wide(())
@@ -766,18 +751,18 @@ def reduce_recttiling_to_mc_u(t):
     emitted = Not(psi)
     s = _rect_structure(t, with_depth=True)
     mc = McInstance(s, "wleft", emitted)
-    witness = _rect_u_witness(emitted, t)
-    return ReductionOutput(mc=mc, witness=witness,
-                           witness_graph=syntax_graph(emitted),
-                           certificates=_mk_certs(emitted, witness, s))
+    g = syntax_graph(emitted)
+    witness = _rect_u_witness(emitted, g, t)
+    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
+                           certificates=_mk_certs(g, witness, s))
 
 
-def _rect_u_witness(emitted, t):
+def _rect_u_witness(emitted, g, t):
     """Column-indexed checks take one position each; boundary parts and
     the unindexed propositions they mention span every bag."""
     n = t.n
     ncolors = len(t.colors)
-    pl = _SyntaxPlacer(emitted)
+    pl = _SyntaxPlacer(g)
     pl.wide(())
     items, joins = _chain_items(emitted.arg, (0,), 3)
     for p, _ in joins:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ltlwb import parse
+from ltlwb import And, Implies, Next, Or, Prop, Until, nvar, parse, temporal_depth
 from ltlwb.graphs import (
     Decomposition,
     Graph,
@@ -16,7 +16,6 @@ from ltlwb.graphs import (
     syntax_graph,
     width,
 )
-from ltlwb.reductions import occurrence_names
 
 from helpers import random_formula
 
@@ -98,17 +97,35 @@ class TestSyntaxGraph:
         g = syntax_graph(parse("p -> (q | true)"))
         assert sorted(g.roles) == ["implies", "or", "prop", "prop", "true"]
 
-    def test_names_follow_occurrence_paths(self):
-        # reductions name witness bags by occurrence_names; the graph must agree
+    def test_preorder_names_at_paths(self):
+        g = syntax_graph(parse("(p U !q) & p"))
+        assert g.at == {(): "@0", (0,): "@1", (0, 0): "p", (0, 1): "@2",
+                        (0, 1, 0): "q", (1,): "p"}
+        assert g.td == 1
+
+    def test_one_walk_names_places_and_measures(self):
+        # reductions place witness vertices by g.at and certify td and nvar
+        # from the same walk, which counts a reused subformula object twice
         rng = random.Random(229)
-        for _ in range(300):
+        for i in range(2000):
             f = random_formula(rng, rng.randint(1, 14), ops="XFGU")
+            if i % 3 == 0:
+                f = rng.choice([And, Or, Until, lambda a, b: Implies(a, Next(b))])(f, f)
             g = syntax_graph(f)
-            names = occurrence_names(f)
-            assert set(g.names) == set(names.values())
-            got = {frozenset((g.names[a], g.names[b])) for a, b in g.edges}
-            want = {frozenset((names[path[:-1]], names[path])) for path in names if path}
-            assert got == want
+            assert g.td == temporal_depth(f)
+            assert g.roles.count("prop") == nvar(f)
+            assert set(g.at.values()) == set(g.names)
+            role = dict(zip(g.names, g.roles))
+            for path, name in g.at.items():
+                node = f
+                for c in path:
+                    node = node.children()[c]
+                if isinstance(node, Prop):
+                    assert name == node.name and role[name] == "prop"
+                else:
+                    assert name.startswith("@") and role[name] != "prop"
+            adjacent = {frozenset((g.names[a], g.names[b])) for a, b in g.edges}
+            assert adjacent == {frozenset((g.at[p[:-1]], g.at[p])) for p in g.at if p}
 
 
 class TestDecomposition:
@@ -123,7 +140,7 @@ class TestDecomposition:
         d = Decomposition([{"v0", "v1"}, {"v1", "v2"}])
         assert check_decomposition(g, d) == []
         assert width(d) == 1
-        assert d.is_path()
+        assert d.links == ((0, 1),)
 
     def test_edge_cover_violation(self):
         g = Graph(
@@ -216,7 +233,7 @@ class TestExactWidths:
         pw, dec = exact_pathwidth(path_graph(5))
         assert pw == 1
         assert check_decomposition(path_graph(5), dec) == []
-        assert dec.is_path()
+        assert dec.links == tuple((i, i + 1) for i in range(len(dec.bags) - 1))
 
     def test_complete_graph_widths(self):
         g = complete_graph(4)
@@ -251,8 +268,9 @@ class TestExactWidths:
 
     def test_deterministic(self):
         g = random_graph(random.Random(5), 7)
-        assert exact_treewidth(g) == exact_treewidth(g)
-        assert exact_pathwidth(g) == exact_pathwidth(g)
+        for exact in (exact_treewidth, exact_pathwidth):
+            (w1, d1), (w2, d2) = exact(g), exact(g)
+            assert (w1, d1.bags, d1.links) == (w2, d2.bags, d2.links)
 
 
 class TestMinfill:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ltlwb import And, Not, Or, Prop
+from ltlwb import And, Not, Or, Prop, conj
 from ltlwb.checker import McInstance, mc_universal, sat
 from ltlwb.formula import fragment_of, nvar, temporal_depth
 from ltlwb.graphs import check_decomposition, width
@@ -68,6 +68,16 @@ class TestDropConjunct:
     def test_no_conjunct_raises(self):
         with pytest.raises(ValueError):
             drop_conjunct(Prop("a"))
+
+    def test_deep_conjunction(self):
+        props = [Prop("p%d" % i) for i in range(10000)]
+        assert drop_conjunct(conj(props)) == conj(props[1:])
+
+    def test_deep_negation(self):
+        f, want = And(Prop("a"), Prop("b")), Prop("b")
+        for _ in range(10000):
+            f, want = Not(f), Not(want)
+        assert drop_conjunct(f) == want
 
 
 class TestPwSatReduction:
