@@ -14,7 +14,8 @@ eventualities that can never be redeemed in its future.  That prunes
 unreachable obligation sets early and keeps generated-instance model
 checking tractable.  Satisfiability runs the same product against one
 self-looped world whose letter is free, so model checking and
-satisfiability share one exploration and one emptiness check.
+satisfiability share one exploration and one emptiness check, run on the
+fly: the product is expanded only until the first accepting component.
 """
 
 from __future__ import annotations
@@ -314,86 +315,74 @@ def _saturate(t, obligations, ref):
 
 
 # ---------------------------------------------------------------------------
-# emptiness: accepting-lasso search over an explicit graph
+# emptiness: accepting-lasso search, run while the graph is expanded
 
-def find_accepting_lasso(succ, initial, accept_sets):
-    """Shortest-ish accepting lasso (prefix, cycle) as node lists, or None.
+def find_accepting_lasso(succ, initial, accepting, full):
+    """Accepting lasso (prefix, cycle) as node lists, or None.
 
-    succ: dict node -> iterable of nodes; accept_sets: list of node sets.
-    A lasso is accepting when its cycle meets every acceptance set; with an
-    empty family any reachable cycle qualifies.
+    The search runs on the fly: succ (node -> iterable of nodes) is looked
+    up only at the nodes the search reaches, so a mapping that computes a
+    node's successors on first lookup builds just the part of the graph it
+    searched, and the search stops at the first accepting component.
+    accepting(node) is the bitmask of the acceptance sets the node meets; a
+    lasso is accepting when its cycle's masks cover full, so with full 0
+    any reachable cycle qualifies.
+
+    Couvreur's SCC-merge search (FM 1999): Tarjan's DFS with a stack of
+    roots of the partial components still open, each carrying the union of
+    its members' masks.  An edge into a live node closes a cycle through
+    it and merges every root above it into its component; the first merged
+    union that covers full is reported.  A single node is a component only
+    through a self-loop, so a trivial one is never reported.
     """
-    comps = _tarjan_components(succ, initial)
-    for comp in comps:
-        comp_set = set(comp)
-        nontrivial = len(comp) > 1 or any(
-            v in succ[v] for v in comp
-        )
-        if not nontrivial:
+    place = {}  # node -> its index on `live`; -1 once its component closed
+    live = []  # nodes of the open components, in discovery order
+    roots = []  # [live index of a root, union of its component's masks]
+    for start in initial:
+        if start in place:
             continue
-        if all(comp_set & acc for acc in accept_sets):
-            return _stitch_witness(succ, initial, comp_set, accept_sets)
+        place[start] = len(live)
+        live.append(start)
+        roots.append([place[start], accepting(start)])
+        work = [(start, iter(succ[start]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                p = place.get(w)
+                if p is None:
+                    place[w] = len(live)
+                    live.append(w)
+                    roots.append([place[w], accepting(w)])
+                    work.append((w, iter(succ[w])))
+                    break
+                if p < 0:
+                    continue
+                merged = 0
+                while roots[-1][0] > p:
+                    merged |= roots.pop()[1]
+                top = roots[-1]
+                top[1] |= merged
+                if top[1] & full == full:
+                    return _stitch_witness(
+                        succ, initial, live[top[0]:], accepting, full)
+            else:
+                work.pop()
+                if roots[-1][0] == place[v]:
+                    r = roots.pop()[0]
+                    for u in live[r:]:
+                        place[u] = -1
+                    del live[r:]
     return None
 
 
-def _tarjan_components(succ, roots):
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comps = []
-    counter = 0
-    for root in roots:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in onstack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
-def _bfs_path(succ, sources, targets, allowed=None, min_len=0):
-    """Shortest node path from a source to a target; may require length > 0."""
+def _bfs_path(succ, sources, targets, allowed):
+    """Shortest node path from a source to a target through allowed nodes."""
     targets = set(targets)
     parent = {}
     queue = []
-    if min_len == 0:
-        for s in sources:
-            if s in targets:
-                return [s]
+    for s in sources:
+        if s in targets:
+            return [s]
     for s in sources:
         if s not in parent:
             parent[s] = None
@@ -403,7 +392,7 @@ def _bfs_path(succ, sources, targets, allowed=None, min_len=0):
         v = queue[head]
         head += 1
         for w in succ[v]:
-            if allowed is not None and w not in allowed:
+            if w not in allowed:
                 continue
             if w in targets:
                 path = [w, v]
@@ -417,28 +406,28 @@ def _bfs_path(succ, sources, targets, allowed=None, min_len=0):
     return None
 
 
-def _stitch_witness(succ, initial, comp_set, accept_sets):
-    prefix_path = _bfs_path(succ, list(initial), comp_set)
-    anchor = prefix_path[-1]
+def _stitch_witness(succ, initial, comp, accepting, full):
+    """Lasso through the strongly connected comp, whose masks cover full.
+
+    Every node of comp, and every node the search reached, is already in
+    succ, so the prefix is searched among those and expands nothing new.
+    """
+    masks = {v: accepting(v) for v in comp}
+    prefix = _bfs_path(succ, [v for v in initial if v in succ], masks, succ)
+    anchor = cur = prefix[-1]
     walk = [anchor]
-    cur = anchor
-    for acc in accept_sets:
-        reps = comp_set & acc
-        if cur in reps:
-            continue
-        seg = _bfs_path(succ, [cur], reps, allowed=comp_set)
+    need = full & ~masks[anchor]
+    while need:
+        bit = need & -need
+        seg = _bfs_path(succ, [cur], [v for v in comp if masks[v] & bit], masks)
+        for v in seg[1:]:
+            need &= ~masks[v]
         walk.extend(seg[1:])
         cur = seg[-1]
     # close the cycle with at least one edge
-    starts = [w for w in succ[cur] if w in comp_set]
-    if anchor in starts:
-        closing = [cur, anchor]
-    else:
-        seg = _bfs_path(succ, starts, {anchor}, allowed=comp_set)
-        closing = [cur] + seg
-    walk.extend(closing[1:])
-    cycle = walk[:-1]
-    return prefix_path[:-1], cycle
+    starts = [w for w in succ[cur] if w in masks]
+    walk.extend(_bfs_path(succ, starts, [anchor], masks))
+    return prefix[:-1], walk[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +438,29 @@ def _stitch_witness(succ, initial, comp_set, accept_sets):
 _FREE = SimpleNamespace(names=("free",), succ=((0,),), labels=(None,))
 
 
+class _Expanding(dict):
+    """Successor map that computes a node's successors on its first lookup."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step):
+        super().__init__()
+        self.step = step
+
+    def __missing__(self, node):
+        out = self[node] = self.step(node)
+        return out
+
+
 def _accepting_run(s, start_world, t):
     """Accepting lasso of structure x tableau t, as (prefix, cycle) lists of
     (world, old, next) product nodes, or None.
 
     Obligation sets are expanded only against the valuations actually
-    reachable.  A world labelled None reads a free letter: its expansion
-    records literals instead of resolving them, and its states keep their
-    positive literals, which spell the letter they read.
+    reachable, and only at the product nodes the emptiness search reaches.
+    A world labelled None reads a free letter: its expansion records
+    literals instead of resolving them, and its states keep their positive
+    literals, which spell the letter they read.
     """
     expand_cache = {}
     world_masks = {}
@@ -477,31 +481,27 @@ def _accepting_run(s, start_world, t):
             expand_cache[key] = hit
         return hit
 
-    adj = {}
-    worklist = []
-
-    def intern(world, pairs):
-        ids = []
-        for old, nxt in pairs:
-            node = (world, old, nxt)
-            if node not in adj:
-                adj[node] = None
-                worklist.append(node)
-            ids.append(node)
-        return ids
-
-    initial = intern(start_world, expand(1 << len(t.subs) - 1, start_world))
-    while worklist:
-        node = worklist.pop()
+    def successors(node):
         w, _, nxt = node
-        out = []
-        for w2 in s.succ[w]:
-            out.extend(intern(w2, expand(nxt, w2)))
-        adj[node] = list(dict.fromkeys(out))
-    accept_sets = [
-        {n for n in adj if not n[1] & g or n[1] & wit} for g, wit in t.events
-    ]
-    return find_accepting_lasso(adj, initial, accept_sets)
+        return [(w2, old, nxt2)
+                for w2 in s.succ[w] for old, nxt2 in expand(nxt, w2)]
+
+    events = t.events
+
+    def accepting(node):
+        # acceptance set i holds the states not owing eventuality i, or
+        # owing it and witnessing it now
+        old = node[1]
+        mask = 0
+        for i, (g, wit) in enumerate(events):
+            if not old & g or old & wit:
+                mask |= 1 << i
+        return mask
+
+    initial = [(start_world, old, nxt)
+               for old, nxt in expand(1 << len(t.subs) - 1, start_world)]
+    return find_accepting_lasso(
+        _Expanding(successors), initial, accepting, (1 << len(events)) - 1)
 
 
 def fused_product_lasso(s, start_world, f):

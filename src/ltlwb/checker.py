@@ -13,9 +13,10 @@ structure x tableau product.
 
 from __future__ import annotations
 
-# find_accepting_lasso is no longer called here; it stays importable from
-# this module because the benchmark's traced run (bench/spans.py) wraps it
-# under this name
+# find_accepting_lasso is not called here: fused_product_lasso and
+# model_word reach it inside buchi, where it also expands the product.  It
+# stays importable from this module because the benchmark's traced run
+# (bench/spans.py) wraps it under this name.
 from .buchi import find_accepting_lasso, fused_product_lasso, model_word
 from .fgsat import fg_sat
 from .formula import (

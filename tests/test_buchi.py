@@ -3,16 +3,18 @@
 import random
 
 from ltlwb import And, Bottom, Finally, Globally, Implies, Next, Not, Or, Prop, Top, Until, parse
+from ltlwb import buchi
 from ltlwb.buchi import (
     Release,
     _ids,
     _saturate,
     _Tableau,
+    find_accepting_lasso,
     fused_product_lasso,
     model_word,
     to_nnf,
 )
-from ltlwb.checker import McInstance, brute_mc
+from ltlwb.checker import McInstance, brute_mc, mc_counterexample
 from ltlwb.kripke import KripkeStructure, Lasso, eval_on_lasso, validate_lasso
 
 from helpers import random_formula
@@ -321,6 +323,129 @@ class TestProducts:
                 assert not eval_on_lasso(s, Lasso(found[0], found[1]), f)
             else:
                 assert holds_everywhere
+
+
+def reference_accepting(succ, initial, masks, full):
+    """Plain reference for the search: is some reachable strongly connected
+    component with a cycle (more than one node, or a self-loop) covered?"""
+    def reach(sources):
+        seen = set(sources)
+        stack = list(sources)
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    after = {v: reach([v]) for v in succ}
+    for v in reach(initial):
+        comp = {u for u in after[v] if v in after[u]}
+        union = 0
+        for u in comp:
+            union |= masks[u]
+        if (len(comp) > 1 or v in succ[v]) and union & full == full:
+            return True
+    return False
+
+
+def random_explicit_graph(rng):
+    n = rng.randint(1, 9)
+    nsets = rng.randint(0, 3)
+    full = (1 << nsets) - 1
+    forward = rng.random() < 0.4  # mostly trivial components
+    density = rng.choice((0.1, 0.25, 0.5))
+    succ = {}
+    for v in range(n):
+        succ[v] = [w for w in range(n)
+                   if (w > v or not forward or rng.random() < 0.1)
+                   and rng.random() < density]
+    masks = {v: rng.choice((0, full, rng.randint(0, full))) for v in succ}
+    initial = rng.sample(range(n), rng.randint(1, min(3, n)))
+    return succ, initial, masks, full
+
+
+def check_lasso(succ, initial, masks, full, found):
+    prefix, cycle = found
+    assert cycle, found
+    walk = prefix + cycle + cycle[:1]
+    assert walk[0] in initial
+    for a, b in zip(walk, walk[1:]):
+        assert b in succ[a], (a, b, found)
+    union = 0
+    for v in cycle:
+        union |= masks[v]
+    assert union & full == full, found
+
+
+class TestEmptinessSearch:
+    def test_against_full_scc_reference(self):
+        rng = random.Random(108)
+        seen = {"found": 0, "none": 0, "trivial_full": 0, "unreached": 0}
+        for _ in range(3000):
+            succ, initial, masks, full = random_explicit_graph(rng)
+            found = find_accepting_lasso(succ, initial, masks.__getitem__, full)
+            expected = reference_accepting(succ, initial, masks, full)
+            assert (found is not None) == expected, (succ, initial, masks, full)
+            if found is not None:
+                check_lasso(succ, initial, masks, full, found)
+                seen["found"] += 1
+            else:
+                seen["none"] += 1
+                if any(masks[v] & full == full and v not in succ[v] for v in succ):
+                    seen["trivial_full"] += 1
+                if reference_accepting(succ, list(succ), masks, full):
+                    seen["unreached"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_trivial_components_are_not_reported(self):
+        succ = {0: [1], 1: [2], 2: []}
+        masks = {0: 3, 1: 3, 2: 3}
+        assert find_accepting_lasso(succ, [0], masks.__getitem__, 3) is None
+        succ[2] = [2]
+        found = find_accepting_lasso(succ, [0], masks.__getitem__, 3)
+        assert found == ([0, 1], [2])
+
+    def test_unreachable_cycle_and_second_initial(self):
+        # the accepting cycle 3 <-> 4 is reached only from the second start
+        succ = {0: [1], 1: [], 2: [3], 3: [4], 4: [3]}
+        masks = {0: 1, 1: 1, 2: 0, 3: 0, 4: 1}
+        assert find_accepting_lasso(succ, [0], masks.__getitem__, 1) is None
+        found = find_accepting_lasso(succ, [0, 2], masks.__getitem__, 1)
+        check_lasso(succ, [0, 2], masks, 1, found)
+        assert found[0] == [2]
+
+    def test_merged_masks_cover_the_sets(self):
+        # neither cycle through 0 meets both sets alone; the component does
+        succ = {0: [1, 2], 1: [0], 2: [0]}
+        masks = {0: 0, 1: 1, 2: 2}
+        found = find_accepting_lasso(succ, [0], masks.__getitem__, 3)
+        check_lasso(succ, [0], masks, 3, found)
+
+    def test_stops_at_first_counterexample(self, monkeypatch):
+        # a counterexample loops at the start world; a chain of `tail`
+        # worlds hangs off it, all labelled p alone, so the full product
+        # spans them all
+        tail = 300
+        names = ["s"] + ["t%d" % i for i in range(tail)]
+        edges = [("s", "s"), ("s", "t0"), ("t%d" % (tail - 1), "t%d" % (tail - 1))]
+        edges += [("t%d" % i, "t%d" % (i + 1)) for i in range(tail - 1)]
+        s = KripkeStructure(names, edges, {w: ["p"] for w in names}, "s")
+        explored = []
+        original = buchi.find_accepting_lasso
+
+        def counting(succ, *rest):
+            found = original(succ, *rest)
+            explored.append(len(succ))
+            return found
+
+        monkeypatch.setattr(buchi, "find_accepting_lasso", counting)
+        cex = mc_counterexample(McInstance(s, "s", parse("G F q")))
+        assert cex is not None and set(cex.prefix + cex.cycle) == {0}
+        assert len(explored) == 1 and explored[0] < tail // 10
+        # the same counter reads the whole tail when nothing is found
+        assert mc_counterexample(McInstance(s, "s", parse("G p"))) is None
+        assert explored[1] > tail
 
 
 def _small_lassos(s, bound):
