@@ -1,10 +1,9 @@
 """Satisfiability and universal model checking.
 
-sat() routes by fragment: pure-X formulas reduce to propositional
-satisfiability after flattening, large {F,G} formulas go to the bounded
-lasso engine, everything else to the tableau product over one world whose
-letter is free.  Every witness is revalidated with eval_on_lasso before it
-is returned.
+sat() routes by fragment: pure-X formulas and large {F,G} formulas go to
+the bounded lasso encoder, everything else to the tableau product over one
+world whose letter is free.  Every witness is revalidated with
+eval_on_lasso before it is returned.
 
 mc_universal checks the complement: a formula holds on all paths from a
 world exactly when no path satisfies its negation, decided by the fused
@@ -13,12 +12,13 @@ structure x tableau product.
 
 from __future__ import annotations
 
-# find_accepting_lasso is not called here: fused_product_lasso and
-# model_word reach it inside buchi, where it also expands the product.  It
-# stays importable from this module because the benchmark's traced run
-# (bench/spans.py) wraps it under this name.
+# find_accepting_lasso and solve_cdcl are not called here:
+# fused_product_lasso and model_word reach the first inside buchi, where it
+# also expands the product, and fgsat calls the second.  Both stay
+# importable from this module because the benchmark's traced run
+# (bench/spans.py) wraps them under these names.
 from .buchi import find_accepting_lasso, fused_product_lasso, model_word
-from .fgsat import fg_sat
+from .fgsat import fg_sat, x_sat
 from .formula import (
     And,
     Bottom,
@@ -33,10 +33,9 @@ from .formula import (
     fragment_of,
     subformulas,
     temporal_depth,
-    x_flatten,
 )
 from .kripke import KripkeStructure, Lasso, eval_on_lasso, validate_structure
-from .propsat import TSEITIN, solve_cdcl
+from .propsat import solve_cdcl
 
 _X_ONLY = frozenset("X")
 _FG_ONLY = frozenset("FG")
@@ -88,16 +87,14 @@ def sat(f):
     g = until_top_to_finally(f)
     fragment = fragment_of(g)
     if fragment <= _X_ONLY:
-        witness = _x_witness(g)
+        found = x_sat(g)
+    elif fragment <= _FG_ONLY and len(subformulas(g)) >= FG_CUTOFF:
+        found = fg_sat(g)
     else:
-        if fragment <= _FG_ONLY and len(subformulas(g)) >= FG_CUTOFF:
-            found = fg_sat(g)
-        else:
-            found = model_word(g)
-        witness = None if found is None else _word_witness(*found)
-    if witness is None:
+        found = model_word(g)
+    if found is None:
         return None
-    s, lasso = witness
+    s, lasso = _word_witness(*found)
     if not eval_on_lasso(s, lasso, f):
         raise RuntimeError("satisfiability witness failed revalidation")
     return s, lasso
@@ -117,66 +114,9 @@ def _word_witness(prefix_letters, cycle_letters):
     return s, lasso
 
 
-def _x_witness(g):
-    model, atoms, _ = _solve_flattened(g)
-    if model is None:
-        return None
-    depth = temporal_depth(g)
-    letters = [
-        frozenset(name for (d, name), v in atoms.items() if d == i and model[v])
-        for i in range(depth + 1)
-    ]
-    return _word_witness(letters[:depth], letters[depth:])
-
-
 def sat_x(f):
-    """Propositional satisfiability of an X-fragment formula.
-
-    After flattening, each maximal X^n p block acts as one atom; clashes
-    can only arise between literals at the same nesting depth.
-    """
-    if not fragment_of(f) <= _X_ONLY:
-        raise ValueError("sat_x needs an {X} fragment formula")
-    model, _, _ = _solve_flattened(f)
-    return model is not None
-
-
-def _solve_flattened(f):
-    """CDCL over the flattened form; returns (model, atom vars, clause count)."""
-    g = x_flatten(f)
-    atoms = {}
-    var = {}
-    clauses = []
-    counter = 0
-
-    def alloc():
-        nonlocal counter
-        counter += 1
-        return counter
-
-    for node in subformulas(g):
-        if isinstance(node, Prop):
-            key = (0, node.name)
-            if key not in atoms:
-                atoms[key] = alloc()
-            var[node] = atoms[key]
-        elif isinstance(node, Next):
-            depth, leaf = 0, node
-            while isinstance(leaf, Next):
-                depth += 1
-                leaf = leaf.arg
-            key = (depth, leaf.name)
-            if key not in atoms:
-                atoms[key] = alloc()
-            var[node] = atoms[key]
-        elif type(node) in TSEITIN:
-            v = var[node] = alloc()
-            clauses.extend(TSEITIN[type(node)](v, *(var[c] for c in node.children())))
-        else:
-            raise ValueError("unexpected %s node after flattening" % node.op)
-    clauses.append((var[g],))
-    model = solve_cdcl(clauses, nvars=counter)
-    return model, atoms, len(clauses)
+    """Satisfiability of an X-fragment formula, decided at the one lasso shape (td, 1)."""
+    return x_sat(f) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -308,44 +308,6 @@ def _rewrite_globally(arg, target):
     raise NotExpressible("G cannot be rewritten into %s" % sorted(target))
 
 
-def x_flatten(f):
-    """Push X below every Boolean connective.
-
-    Input must lie in the {X} fragment.  Output is a Boolean combination
-    of blocks X^n q with no Boolean node under an X, via the distribution
-    laws X(a&b) = Xa & Xb, X(a|b) = Xa | Xb and X!a = !Xa.
-    """
-    bad = fragment_of(f) - {"X"}
-    if bad:
-        raise ValueError("x_flatten needs an {X} fragment formula, found %s" % sorted(bad))
-
-    # (node, number of X above it) -> flattened node; an explicit stack of
-    # pairs, children first, so deep formulas flatten without recursion
-    table = {}
-    stack = [(f, 0, False)]
-    while stack:
-        node, n, ready = stack.pop()
-        if (node, n) in table:
-            continue
-        if isinstance(node, Next):
-            kids = [(node.arg, n + 1)]
-        else:
-            kids = [(c, n) for c in node.children()]
-        if not ready:
-            stack.append((node, n, True))
-            stack.extend((c, m, False) for c, m in kids)
-        elif isinstance(node, Prop):
-            out = node
-            for _ in range(n):
-                out = Next(out)
-            table[node, n] = out
-        elif isinstance(node, Next):
-            table[node, n] = table[kids[0]]
-        else:
-            table[node, n] = type(node)(*(table[k] for k in kids))
-    return table[f, 0]
-
-
 # ---------------------------------------------------------------------------
 # printing
 

@@ -1,10 +1,10 @@
 """Propositional CNF solver: conflict-driven clause learning.
 
 Deterministic by construction (activity ties break on variable index), no
-external dependencies.  Used by the X-fragment satisfiability route and the
-bounded-model search, which encode formulas with the one Tseitin gate table
-below; the test oracles use a separate plain backtracking solver so the two
-never share code.
+external dependencies.  Used by the bounded lasso encoder (fgsat), which
+encodes {X} and {F,G} formulas with the one Tseitin gate table below; the
+test oracles use a separate plain backtracking solver so the two never
+share code.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ class _Solver:
         self.var_inc = 1.0
         self.ok = True
         # lazy decision heap: entries (-activity, var); stale entries (older
-        # activity snapshot, or already-assigned var) are discarded on pop
+        # activity snapshot, or already-assigned var) are discarded on pop.
+        # queued[v]: the heap holds an entry with v's current activity
         self.heap = [(0.0, v) for v in range(1, nvars + 1)]
+        self.queued = [True] * (nvars + 1)
 
     def value(self, lit):
         v = self.assign[abs(lit)]
@@ -147,8 +149,10 @@ class _Solver:
             self.var_inc *= 1e-100
             self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1)]
             heapq.heapify(self.heap)
+            self.queued = [True] * (self.nvars + 1)
         else:
             heapq.heappush(self.heap, (-self.activity[v], v))
+            self.queued[v] = True
 
     def analyze(self, confl):
         learnt = [0]
@@ -193,10 +197,13 @@ class _Solver:
         limit = self.trail_lim[level]
         heap = self.heap
         activity = self.activity
+        queued = self.queued
         for lit in self.trail[limit:]:
             v = abs(lit)
             self.assign[v] = None
-            heapq.heappush(heap, (-activity[v], v))
+            if not queued[v]:
+                heapq.heappush(heap, (-activity[v], v))
+                queued[v] = True
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
@@ -207,8 +214,10 @@ class _Solver:
         activity = self.activity
         while heap:
             act, v = heapq.heappop(heap)
-            if assign[v] is None and -act == activity[v]:
-                return v
+            if -act == activity[v]:
+                self.queued[v] = False
+                if assign[v] is None:
+                    return v
         return None
 
     def search(self):

@@ -286,9 +286,9 @@ def test_pwsat_reduction_agreement():
         "%d rows at a measured %.2fs per row: about %.1f hours against a "
         "%.0fs budget.  The cost floor is the certifying bounded-model "
         "call at the shape the temporal-subformula count dictates "
-        "(51 prefix + 50 cycle positions, about 18k variables); every "
-        "unsatisfiable row must pay it.  Set LTLWB_ACCEPT_FULL=1 to run "
-        "the whole family anyway."
+        "(51 prefix + 50 cycle positions, about 20k variables for the F/G "
+        "target and 26k for U); every unsatisfiable row must pay it.  Set "
+        "LTLWB_ACCEPT_FULL=1 to run the whole family anyway."
         % (rows, 2 * family_size, elapsed / rows, estimate / 3600, budget)
     )
 

@@ -25,7 +25,6 @@ from ltlwb import (
     rewrite_fragment,
     subformulas,
     temporal_depth,
-    x_flatten,
 )
 from helpers import random_formula
 
@@ -200,34 +199,6 @@ class TestRewriteFragment:
                 g = rewrite_fragment(f, target)
                 assert temporal_depth(g) == temporal_depth(f)
                 assert fragment_of(g) <= frozenset(target)
-
-
-class TestXFlatten:
-    def test_next_over_and(self):
-        assert x_flatten(parse("X (p & q)")) == parse("X p & X q")
-
-    def test_next_over_not(self):
-        assert x_flatten(parse("X !p")) == parse("!X p")
-
-    def test_identity_without_next(self):
-        assert x_flatten(parse("p")) == parse("p")
-
-    def test_constants_absorb_next(self):
-        assert x_flatten(parse("X (p | true)")) == parse("X p | true")
-
-    def test_rejects_other_operators(self):
-        with pytest.raises(ValueError):
-            x_flatten(parse("F p"))
-
-    def test_no_boolean_below_next(self):
-        rng = random.Random(31)
-        for _ in range(300):
-            f = random_formula(rng, rng.randint(1, 20), ops="X")
-            g = x_flatten(f)
-            for node in subformulas(g):
-                if isinstance(node, Next):
-                    for inner in subformulas(node):
-                        assert isinstance(inner, (Next, Prop))
 
 
 class TestStructure:

@@ -1,12 +1,13 @@
 """Conflict-driven CNF solver against brute-force truth-table enumeration."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
 from ltlwb.oracles import check_assignment_cnf
-from ltlwb.propsat import solve_cdcl
+from ltlwb.propsat import _Solver, solve_cdcl
 
 
 def brute_sat(clauses, nvars):
@@ -86,3 +87,29 @@ class TestSolveCdcl:
     def test_deterministic(self):
         clauses, nvars = pigeonhole(3, 3)
         assert solve_cdcl(clauses, nvars) == solve_cdcl(clauses, nvars)
+
+
+class TestDecisionHeap:
+    def test_one_current_entry_per_variable(self):
+        # backtracking used to push every unassigned variable again, so the
+        # heap grew with the search path; an entry is current when it
+        # carries the variable's activity, and one of those is enough
+        rng = random.Random(311)
+        searched = []
+        for _ in range(40):
+            nvars = rng.randint(30, 60)
+            solver = _Solver(nvars)
+            for _ in range(int(4.26 * nvars)):
+                solver.add_clause(
+                    [rng.choice([1, -1]) * rng.randint(1, nvars) for _ in range(3)]
+                )
+            solver.search()
+            current = collections.Counter(
+                v for act, v in solver.heap if -act == solver.activity[v]
+            )
+            assert max(current.values(), default=0) <= 1
+            searched.append((solver, current))
+        assert sum(1 for _, current in searched if current) >= 10
+        for solver, current in searched:
+            for v in range(1, solver.nvars + 1):
+                assert solver.queued[v] == (current[v] == 1)
