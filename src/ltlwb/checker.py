@@ -1,13 +1,16 @@
 """Satisfiability and universal model checking.
 
-sat() routes by fragment: pure-X formulas and large {F,G} formulas go to
-the bounded lasso encoder, everything else to the tableau product over one
-world whose letter is free.  Every witness is revalidated with
+sat() routes by fragment: {X} formulas and {F,G} formulas go to the
+bounded lasso encoder (fgsat), everything else to the tableau product over
+one world whose letter is free.  Every witness is revalidated with
 eval_on_lasso before it is returned.
 
 mc_universal checks the complement: a formula holds on all paths from a
 world exactly when no path satisfies its negation, decided by the fused
-structure x tableau product.
+structure x tableau product.  mc_x_bounded (bounded successor-tree search
+for {X} formulas) and brute_mc (every lasso up to a bound) are second
+routes that share no tableau code with it; both evaluate their paths with
+eval_on_lasso, the one path evaluator.
 """
 
 from __future__ import annotations
@@ -19,30 +22,12 @@ from __future__ import annotations
 # (bench/spans.py) wraps them under these names.
 from .buchi import find_accepting_lasso, fused_product_lasso, model_word
 from .fgsat import fg_sat, x_sat
-from .formula import (
-    And,
-    Bottom,
-    Finally,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Prop,
-    Top,
-    Until,
-    fragment_of,
-    subformulas,
-    temporal_depth,
-)
+from .formula import Finally, Not, Top, Until, fragment_of, subformulas, temporal_depth
 from .kripke import KripkeStructure, Lasso, eval_on_lasso, validate_structure
 from .propsat import solve_cdcl
 
 _X_ONLY = frozenset("X")
 _FG_ONLY = frozenset("FG")
-
-# below this closure size the tableau route is cheap and exercises the
-# general machinery; above it the {F,G} encoding scales much better
-FG_CUTOFF = 40
 
 
 class McInstance:
@@ -88,7 +73,7 @@ def sat(f):
     fragment = fragment_of(g)
     if fragment <= _X_ONLY:
         found = x_sat(g)
-    elif fragment <= _FG_ONLY and len(subformulas(g)) >= FG_CUTOFF:
+    elif fragment <= _FG_ONLY:
         found = fg_sat(g)
     else:
         found = model_word(g)
@@ -148,7 +133,10 @@ def mc_x_bounded(i):
     """Universal checking of an X-fragment formula by bounded path search.
 
     Only the first td+1 worlds of a path can influence the formula, so the
-    successor tree is explored to that depth and nothing else.
+    successor tree is explored to that depth and nothing else.  Each leaf
+    path is evaluated by eval_on_lasso as the word whose last letter
+    repeats forever: the formula reads positions 0..td only, so the
+    repetition changes nothing.  No tableau code runs on this route.
     """
     if not fragment_of(i.formula) <= _X_ONLY:
         raise ValueError("mc_x_bounded needs an {X} fragment formula")
@@ -159,55 +147,13 @@ def mc_x_bounded(i):
     while stack:
         path = stack.pop()
         if len(path) == horizon:
-            if not _eval_finite(f, s, path):
+            letters = [s.labels[w] for w in path]
+            if not eval_on_lasso(*_word_witness(letters[:-1], letters[-1:]), f):
                 return False
             continue
         for w in s.succ[path[-1]]:
             stack.append(path + (w,))
     return True
-
-
-def _eval_finite(f, s, path):
-    """Truth of X-fragment f at the first world of a finite path.
-
-    An explicit stack of (node, position) pairs, children first, so deep
-    formulas evaluate without recursion.
-    """
-    val = {}
-    stack = [(f, 0, False)]
-    while stack:
-        node, pos, ready = stack.pop()
-        key = (node, pos)
-        if key in val:
-            continue
-        if isinstance(node, Next):
-            kids = [(node.arg, pos + 1)]
-        else:
-            kids = [(c, pos) for c in node.children()]
-        if not ready:
-            stack.append((node, pos, True))
-            stack.extend((c, p, False) for c, p in kids)
-            continue
-        args = [val[k] for k in kids]
-        if isinstance(node, Prop):
-            val[key] = node.name in s.labels[path[pos]]
-        elif isinstance(node, Top):
-            val[key] = True
-        elif isinstance(node, Bottom):
-            val[key] = False
-        elif isinstance(node, Not):
-            val[key] = not args[0]
-        elif isinstance(node, And):
-            val[key] = args[0] and args[1]
-        elif isinstance(node, Or):
-            val[key] = args[0] or args[1]
-        elif isinstance(node, Implies):
-            val[key] = not args[0] or args[1]
-        elif isinstance(node, Next):
-            val[key] = args[0]
-        else:
-            raise ValueError("unexpected %s node in X-fragment evaluation" % node.op)
-    return val[f, 0]
 
 
 # ---------------------------------------------------------------------------

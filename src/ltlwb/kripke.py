@@ -158,76 +158,65 @@ def validate_lasso(s, lasso):
 def eval_on_lasso(s, lasso, f):
     """Exact satisfaction of f at position 0 of the lasso's infinite path.
 
-    Satisfaction sets are computed bottom-up over the distinct positions;
-    F/U are least fixpoints and G a greatest fixpoint of the expansion laws,
-    which converge within prefix+cycle iterations.
+    Satisfaction rows over the distinct positions are computed bottom-up,
+    one pass per node.  X shifts its argument's row one position on, back
+    to the loop start from the last position.  F a is true U a, G a is
+    !(true U !a), and each U is one backward pass (see _until).  This is
+    the evaluator every witness is revalidated with, so it uses no
+    automaton code.
     """
     validate_lasso(s, lasso)
     walk = lasso.positions()
     length = len(walk)
     loop = len(lasso.prefix)
-
-    def nxt(i):
-        return i + 1 if i + 1 < length else loop
-
+    true = [True] * length
     val = {}
     for node in subformulas(f):
         if isinstance(node, Prop):
-            row = [node.name in s.labels[walk[i]] for i in range(length)]
+            row = [node.name in s.labels[w] for w in walk]
         elif isinstance(node, Top):
-            row = [True] * length
+            row = true
         elif isinstance(node, Bottom):
             row = [False] * length
         elif isinstance(node, Not):
-            arg = val[node.arg]
-            row = [not arg[i] for i in range(length)]
+            row = [not x for x in val[node.arg]]
         elif isinstance(node, And):
-            a, b = val[node.left], val[node.right]
-            row = [a[i] and b[i] for i in range(length)]
+            row = [x and y for x, y in zip(val[node.left], val[node.right])]
         elif isinstance(node, Or):
-            a, b = val[node.left], val[node.right]
-            row = [a[i] or b[i] for i in range(length)]
+            row = [x or y for x, y in zip(val[node.left], val[node.right])]
         elif isinstance(node, Implies):
-            a, b = val[node.left], val[node.right]
-            row = [(not a[i]) or b[i] for i in range(length)]
+            row = [(not x) or y for x, y in zip(val[node.left], val[node.right])]
         elif isinstance(node, Next):
             arg = val[node.arg]
-            row = [arg[nxt(i)] for i in range(length)]
+            row = arg[1:] + [arg[loop]]
         elif isinstance(node, Finally):
-            arg = val[node.arg]
-            row = _least_fixpoint(length, nxt, lambda i, cur: arg[i] or cur[nxt(i)])
+            row = _until(true, val[node.arg], loop)
         elif isinstance(node, Globally):
-            arg = val[node.arg]
-            row = _greatest_fixpoint(length, nxt, lambda i, cur: arg[i] and cur[nxt(i)])
+            row = [not x for x in _until(true, [not x for x in val[node.arg]], loop)]
         elif isinstance(node, Until):
-            a, b = val[node.left], val[node.right]
-            row = _least_fixpoint(
-                length, nxt, lambda i, cur: b[i] or (a[i] and cur[nxt(i)])
-            )
+            row = _until(val[node.left], val[node.right], loop)
         else:
             raise TypeError("unknown formula node %r" % node)
         val[node] = row
     return val[f][0]
 
 
-def _least_fixpoint(length, nxt, step):
-    cur = [False] * length
-    for _ in range(length + 1):
-        new = [step(i, cur) for i in range(length)]
-        if new == cur:
-            break
-        cur = new
-    return cur
+def _until(a, b, loop):
+    """Row of a U b on a lasso whose cycle starts at position loop.
 
-
-def _greatest_fixpoint(length, nxt, step):
-    cur = [True] * length
-    for _ in range(length + 1):
-        new = [step(i, cur) for i in range(length)]
-        if new == cur:
-            break
-        cur = new
-    return cur
+    One backward pass of u(i) = b(i) or (a(i) and u(i+1)), starting from
+    false past the last position.  It runs twice round the cycle, so every
+    cycle position has seen the whole cycle ahead of it (the cyclic suffix
+    holds nothing more), then once over the prefix.
+    """
+    length = len(b)
+    row = [False] * length
+    cycle = range(length - 1, loop - 1, -1)
+    carry = False
+    for i in (*cycle, *cycle, *range(loop - 1, -1, -1)):
+        carry = b[i] or (a[i] and carry)
+        row[i] = carry
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ _TOKEN = re.compile(
 
 _KEYWORDS = {"X", "F", "G", "U", "true", "false"}
 _UNARY = {"!": Not, "X": Next, "F": Finally, "G": Globally}
+# binary operators: token -> (binding strength, node); U and -> associate
+# to the right, & and | to the left
+_BINARY = {"U": (4, Until), "&": (3, And), "|": (2, Or), "->": (1, Implies)}
+_RIGHT = frozenset(("U", "->"))
 
 
 def _tokenize(source):
@@ -79,53 +83,48 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def implies(self):
-        # right-associative; operands collected in a loop and folded from
-        # the right, so a long chain cannot overflow
-        parts = [self.disjunction()]
-        while self.peek() == "->":
-            self.pos += 1
-            parts.append(self.disjunction())
-        f = parts.pop()
-        for left in reversed(parts):
-            f = Implies(left, f)
-        return f
+    def formula(self):
+        """One formula up to the end of input.
 
-    def disjunction(self):
-        acc = self.conjunction()
-        while self.peek() == "|":
-            self.take("|")
-            acc = Or(acc, self.conjunction())
-        return acc
-
-    def conjunction(self):
-        acc = self.until()
-        while self.peek() == "&":
-            self.take("&")
-            acc = And(acc, self.until())
-        return acc
-
-    def until(self):
-        # right-associative, folded from the right as implies is
-        parts = [self.unary()]
-        while self.peek() == "U":
-            self.pos += 1
-            parts.append(self.unary())
-        f = parts.pop()
-        for left in reversed(parts):
-            f = Until(left, f)
-        return f
-
-    def unary(self):
-        # iterative, so a long prefix chain such as X X ... X p cannot overflow
-        ops = []
-        while self.peek() in _UNARY:
-            ops.append(_UNARY[self.peek()])
-            self.pos += 1
-        f = self.atom()
-        for op in reversed(ops):
-            f = op(f)
-        return f
+        Iterative: an operand is a prefix chain of unary operators on a
+        constant, a name or a parenthesised formula, and a "(" opens a new
+        frame on an explicit stack instead of recursing, so neither long
+        chains nor deep nesting can overflow.  A frame holds the unary
+        operators waiting for its closing parenthesis, then its operands
+        and the binary operators between them; an arriving operator first
+        combines the pending ones that bind at least as tightly, or
+        strictly more tightly when it associates to the right.
+        """
+        frames = [([], [], [])]
+        while True:
+            ops = []
+            while self.peek() in _UNARY:
+                ops.append(_UNARY[self.peek()])
+                self.pos += 1
+            kind = self.peek()
+            if kind == "(":
+                self.pos += 1
+                frames.append((ops, [], []))
+                continue
+            f = self.atom()
+            while True:
+                for op in reversed(ops):
+                    f = op(f)
+                waiting, operands, binary = frames[-1]
+                operands.append(f)
+                kind = self.peek()
+                if kind in _BINARY:
+                    self.pos += 1
+                    _reduce(operands, binary, _BINARY[kind][0] + (kind in _RIGHT))
+                    binary.append(kind)
+                    break
+                _reduce(operands, binary, 1)
+                if len(frames) == 1:
+                    self.take("end")
+                    return operands[0]
+                self.take(")")
+                frames.pop()
+                f, ops = operands[0], waiting
 
     def atom(self):
         kind = self.peek()
@@ -137,20 +136,19 @@ class _Parser:
             return Bottom()
         if kind == "name":
             return Prop(self.take("name")[1])
-        if kind == "(":
-            self.take("(")
-            inner = self.implies()
-            self.take(")")
-            return inner
         tok = self.tokens[self.pos]
         raise ParseError(
             "expected a formula but found %r at offset %d" % (tok[1] or "end of input", tok[2])
         )
 
 
+def _reduce(operands, binary, bound):
+    """Combine trailing operands while the last operator binds at least bound."""
+    while binary and _BINARY[binary[-1]][0] >= bound:
+        right = operands.pop()
+        operands[-1] = _BINARY[binary.pop()][1](operands[-1], right)
+
+
 def parse(source):
     """Parse formula text into a syntax tree."""
-    p = _Parser(source)
-    f = p.implies()
-    p.take("end")
-    return f
+    return _Parser(source).formula()

@@ -147,9 +147,7 @@ class _Solver:
             for i in range(1, self.nvars + 1):
                 self.activity[i] *= 1e-100
             self.var_inc *= 1e-100
-            self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1)]
-            heapq.heapify(self.heap)
-            self.queued = [True] * (self.nvars + 1)
+            self._rebuild_heap()
         else:
             heapq.heappush(self.heap, (-self.activity[v], v))
             self.queued[v] = True
@@ -207,6 +205,15 @@ class _Solver:
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.qhead = len(self.trail)
+        if len(heap) > 2 * self.nvars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        # one current entry per variable and no stale ones; decisions are
+        # unchanged, since every unassigned variable keeps a current entry
+        self.heap = [(-self.activity[u], u) for u in range(1, self.nvars + 1)]
+        heapq.heapify(self.heap)
+        self.queued = [True] * (self.nvars + 1)
 
     def pick_variable(self):
         heap = self.heap

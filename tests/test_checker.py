@@ -6,7 +6,6 @@ import pytest
 
 from ltlwb import And, Finally, Globally, Next, Not, Or, Prop, parse, fragment_of
 from ltlwb.checker import (
-    FG_CUTOFF,
     McInstance,
     brute_mc,
     exists_path,
@@ -108,13 +107,22 @@ class TestSat:
         f = parse("true")
         for part in chain:
             f = And(f, part)
-        assert len(subformulas(f)) >= FG_CUTOFF
         assert fragment_of(f) <= frozenset("FG")
         s, lasso = sat(f)
         assert eval_on_lasso(s, lasso, f)
         dead = And(f, Globally(Not(Prop(names[-1]))))
         dead = And(dead, parse("F %s" % names[-1]))
         assert sat(dead) is None
+
+    def test_fg_formula_beyond_the_tableau(self):
+        # 28 subformulas; the tableau product over a free world ran out of
+        # memory on this formula, the {F,G} encoder decides it at once
+        f = parse(
+            "G F F (F (!(F false & q) -> p & r) & F G F G F G F (F G F F false | F F F p))"
+        )
+        assert len(subformulas(f)) == 28
+        s, lasso = sat(f)
+        assert eval_on_lasso(s, lasso, f)
 
 
 def _word_structure(prefix_letters, cycle_letters):

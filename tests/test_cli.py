@@ -257,12 +257,14 @@ def test_check_failed_revalidation_is_internal_error(tmp_path, capsys, monkeypat
     assert err.startswith("internal error: ")
 
 
-def test_check_deep_parentheses_is_internal_error(tmp_path, capsys):
-    f = _write(tmp_path, "f.ltl", "(" * 600 + "p" + ")" * 600 + "\n")
+def test_check_deep_parentheses(tmp_path, capsys):
+    f = _write(tmp_path, "f.ltl", "(" * 10000 + "p" + ")" * 10000 + "\n")
     code, out, err = run(["check", "sat", "--formula", f], capsys)
-    assert code == 3
-    assert len(err.splitlines()) == 1
-    assert err.startswith("internal error: ")
+    assert code == 0
+    assert out == "sat\n"
+    code, out, err = run(["analyze", f], capsys)
+    assert code == 0
+    assert out.startswith("td=0 nvar=1 ")
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,19 @@ class TestParse:
                 want = cls(Prop("p"), want)
             assert parse(("p %s " % op) * 10000 + "p") == want
 
+    def test_deep_parentheses(self):
+        # nesting far beyond the interpreter's recursion limit
+        n = 10000
+        assert parse("(" * n + "p" + ")" * n) == Prop("p")
+        negated, conjoined = Prop("p"), Prop("q")
+        for _ in range(n):
+            negated = Not(negated)
+            conjoined = And(Prop("p"), conjoined)
+        assert parse("!(" * n + "p" + ")" * n) == negated
+        assert parse("(p & " * n + "q" + ")" * n) == conjoined
+        with pytest.raises(ParseError):
+            parse("(" * n + "p" + ")" * (n - 1))
+
     def test_constants(self):
         assert parse("true U false") == Until(Top(), Bottom())
 

@@ -1,10 +1,12 @@
-"""Kripke structures, lassos, fixpoint evaluation, and the text format."""
+"""Kripke structures, lassos, path evaluation, and the text format."""
 
+import collections
 import random
 
 import pytest
 
 from ltlwb import Next, parse
+from ltlwb.checker import McInstance, _word_witness, mc_universal
 from ltlwb.kripke import (
     KripkeFormatError,
     KripkeStructure,
@@ -197,6 +199,24 @@ class TestEval:
             checked += 1
             assert eval_on_lasso(s, lam, f) == eval_on_lasso(s, stuttered, f)
         assert checked > 100
+
+    def test_agrees_with_tableau_on_words(self):
+        # a word's chain structure has one path, so mc_universal decides the
+        # same question through the tableau product, sharing no code
+        rng = random.Random(113)
+        outcomes = collections.Counter()
+
+        def letters(n):
+            return [frozenset(p for p in "pq" if rng.random() < 0.5) for _ in range(n)]
+
+        for _ in range(1000):
+            prefix, cycle = letters(rng.randint(0, 6)), letters(rng.randint(1, 12))
+            s, lam = _word_witness(prefix, cycle)
+            f = random_formula(rng, rng.randint(1, 10), names=("p", "q"))
+            holds = eval_on_lasso(s, lam, f)
+            assert holds == mc_universal(McInstance(s, 0, f)), (f, prefix, cycle)
+            outcomes[holds] += 1
+        assert min(outcomes.values()) >= 200
 
 
 def _drop_first(lam):

@@ -113,3 +113,28 @@ class TestDecisionHeap:
         for solver, current in searched:
             for v in range(1, solver.nvars + 1):
                 assert solver.queued[v] == (current[v] == 1)
+
+    def test_heap_stays_within_twice_the_variables(self):
+        # stale entries leave only when popped; without a rebuild the heap
+        # grew with the number of conflicts, to about 190 entries per variable
+        rng = random.Random(4242)
+        grew = 0
+        for _ in range(40):
+            nvars = rng.randint(20, 120)
+            solver = _Solver(nvars)
+            for _ in range(int(rng.uniform(3.6, 4.8) * nvars)):
+                solver.add_clause(
+                    [rng.choice([1, -1]) * rng.randint(1, nvars) for _ in range(3)]
+                )
+            sizes = []
+            backtrack = solver.backtrack
+
+            def measured(level, solver=solver, backtrack=backtrack, sizes=sizes):
+                backtrack(level)
+                sizes.append(len(solver.heap))
+
+            solver.backtrack = measured
+            solver.search()
+            assert max(sizes, default=0) <= 2 * nvars
+            grew += max(sizes, default=0) > nvars
+        assert grew >= 10
