@@ -9,8 +9,10 @@ mc_universal checks the complement: a formula holds on all paths from a
 world exactly when no path satisfies its negation, decided by the fused
 structure x tableau product.  mc_x_bounded (bounded successor-tree search
 for {X} formulas) and brute_mc (every lasso up to a bound) are second
-routes that share no tableau code with it; both evaluate their paths with
-eval_on_lasso, the one path evaluator.
+routes that share no tableau code with it.  Both compile the formula once
+and evaluate each path's labels with kripke.eval_word, the bit-row core of
+eval_on_lasso, without building or revalidating a Lasso per path: their
+paths are walks along succ, so they are valid by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from __future__ import annotations
 from .buchi import find_accepting_lasso, fused_product_lasso, model_word
 from .fgsat import fg_sat, x_sat
 from .formula import Finally, Not, Top, Until, fragment_of, subformulas, temporal_depth
-from .kripke import KripkeStructure, Lasso, eval_on_lasso, validate_structure
+from .kripke import (
+    KripkeStructure,
+    Lasso,
+    compile_formula,
+    eval_on_lasso,
+    eval_word,
+    validate_structure,
+)
 from .propsat import solve_cdcl
 
 _X_ONLY = frozenset("X")
@@ -133,22 +142,23 @@ def mc_x_bounded(i):
     """Universal checking of an X-fragment formula by bounded path search.
 
     Only the first td+1 worlds of a path can influence the formula, so the
-    successor tree is explored to that depth and nothing else.  Each leaf
-    path is evaluated by eval_on_lasso as the word whose last letter
-    repeats forever: the formula reads positions 0..td only, so the
-    repetition changes nothing.  No tableau code runs on this route.
+    successor tree is explored to that depth and nothing else.  The formula
+    is compiled once, and each leaf path's labels are evaluated by
+    eval_word as the word whose last letter repeats forever: the formula
+    reads positions 0..td only, so the repetition changes nothing.  No
+    tableau code runs on this route.
     """
     if not fragment_of(i.formula) <= _X_ONLY:
         raise ValueError("mc_x_bounded needs an {X} fragment formula")
     i.validate()
-    s, f = i.structure, i.formula
-    horizon = temporal_depth(f) + 1
+    s = i.structure
+    prog = compile_formula(i.formula)
+    horizon = temporal_depth(i.formula) + 1
     stack = [(i.world,)]
     while stack:
         path = stack.pop()
         if len(path) == horizon:
-            letters = [s.labels[w] for w in path]
-            if not eval_on_lasso(*_word_witness(letters[:-1], letters[-1:]), f):
+            if not eval_word(prog, [s.labels[w] for w in path], horizon - 1):
                 return False
             continue
         for w in s.succ[path[-1]]:
@@ -160,14 +170,17 @@ def mc_x_bounded(i):
 # brute-force oracle
 
 def lassos_up_to(s, start, bound):
-    """Every lasso from start with prefix plus cycle of at most bound worlds."""
+    """Every lasso from start with prefix plus cycle of at most bound worlds,
+    as (walk, j): the walk's worlds are the prefix walk[:j] followed by the
+    cycle walk[j:], and walk[j] is a successor of the walk's last world.
+    Walks are built from succ, so every pair is a valid lasso."""
     stack = [(start,)]
     while stack:
         walk = stack.pop()
         succs = s.succ[walk[-1]]
         for j in range(len(walk)):
             if walk[j] in succs:
-                yield Lasso(walk[:j], walk[j:])
+                yield walk, j
         if len(walk) < bound:
             for w in succs:
                 stack.append(walk + (w,))
@@ -176,13 +189,17 @@ def lassos_up_to(s, start, bound):
 def brute_mc(i, bound):
     """False iff some lasso of total length <= bound falsifies the formula.
 
-    Complete for mc_universal once bound covers the product-state count;
-    independent of the tableau machinery by construction.
+    The formula is compiled once and each lasso's labels are evaluated by
+    eval_word, with no Lasso object and no per-lasso validation.  Complete
+    for mc_universal once bound covers the product-state count; independent
+    of the tableau machinery by construction.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     i.validate()
-    for lasso in lassos_up_to(i.structure, i.world, bound):
-        if not eval_on_lasso(i.structure, lasso, i.formula):
+    labels = i.structure.labels
+    prog = compile_formula(i.formula)
+    for walk, j in lassos_up_to(i.structure, i.world, bound):
+        if not eval_word(prog, [labels[w] for w in walk], j):
             return False
     return True

@@ -17,6 +17,8 @@ graphs get heuristic upper bounds or externally constructed decompositions.
 
 from __future__ import annotations
 
+import heapq
+
 from .formula import (
     And,
     Bottom,
@@ -371,34 +373,57 @@ def exact_pathwidth(g, limit=EXACT_LIMIT):
 
 
 def minfill_upper(g):
-    """Tree decomposition from min-fill elimination; width is an upper bound."""
+    """Tree decomposition from min-fill elimination; width is an upper bound.
+
+    The vertex eliminated next has the fewest fill edges (pairs of its
+    alive neighbours that are not adjacent), the lowest index among those.
+    Fill counts are kept per alive vertex and updated where an elimination
+    changes them: its neighbours lose it, and each fill edge a-b it adds
+    is one pair less for the common neighbours of a and b and new pairs
+    for a and b.  The choice comes from a lazy heap keyed (fill, index),
+    so a hub adjacent to everything costs no more than its degree.
+    """
     n = len(g)
     if n == 0:
         raise ValueError("empty graph")
-    adj = _adj_sets(g)
-    alive = set(range(n))
+    adj = _adj_sets(g)  # adjacency among alive vertices
+    fill = [0] * n
+    for v in range(n):
+        # ordered pairs of neighbours minus ordered adjacent pairs, halved
+        d = len(adj[v])
+        fill[v] = (d * (d - 1) - sum(len(adj[u] & adj[v]) for u in adj[v])) // 2
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapq.heapify(heap)
+    alive = [True] * n
     order = []
-    while alive:
-        best_v = None
-        best_fill = None
-        for v in sorted(alive):
-            nb = adj[v] & alive
-            nb_list = sorted(nb)
-            fill = 0
-            for i, a in enumerate(nb_list):
-                for b in nb_list[i + 1 :]:
-                    if b not in adj[a]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_fill = fill
-                best_v = v
-        nb = sorted(adj[best_v] & alive)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1 :]:
+    while heap:
+        f, v = heapq.heappop(heap)
+        if not alive[v] or f != fill[v]:
+            continue
+        alive[v] = False
+        order.append(v)
+        nb = adj[v]
+        touched = set(nb)
+        for x in nb:
+            adj[x].discard(v)
+        for x in nb:
+            # the pairs (v, u) with u not adjacent to v leave x's count
+            fill[x] -= len(adj[x]) - len(adj[x] & nb)
+        nb_list = sorted(nb)
+        for i, a in enumerate(nb_list):
+            for b in nb_list[i + 1 :]:
+                if b in adj[a]:
+                    continue
+                common = adj[a] & adj[b]
+                for x in common:
+                    fill[x] -= 1
+                touched |= common
+                fill[a] += len(adj[a]) - len(common)
+                fill[b] += len(adj[b]) - len(common)
                 adj[a].add(b)
                 adj[b].add(a)
-        alive.remove(best_v)
-        order.append(best_v)
+        for x in touched:
+            heapq.heappush(heap, (fill[x], x))
     dec = _decomposition_from_elimination(g, order)
     return width(dec), dec
 

@@ -3,6 +3,13 @@
 Structures are immutable after construction.  Worlds live at dense integer
 indices; names are kept in a side table because generated structures carry
 thousands of systematically named worlds.
+
+Evaluation is bit-parallel over the positions of a path (Markey and
+Schnoebelen, Model checking a path, CONCUR 2003): compile_formula turns a
+formula into a flat op list once, and eval_word holds each subformula's
+truth over the positions of prefix·cycle as one int, so X is a shift and
+U one carry-propagating add.  eval_on_lasso validates a lasso against its
+structure and evaluates its labels this way.
 """
 
 from __future__ import annotations
@@ -158,65 +165,96 @@ def validate_lasso(s, lasso):
 def eval_on_lasso(s, lasso, f):
     """Exact satisfaction of f at position 0 of the lasso's infinite path.
 
-    Satisfaction rows over the distinct positions are computed bottom-up,
-    one pass per node.  X shifts its argument's row one position on, back
-    to the loop start from the last position.  F a is true U a, G a is
-    !(true U !a), and each U is one backward pass (see _until).  This is
-    the evaluator every witness is revalidated with, so it uses no
-    automaton code.
+    The lasso is validated against the structure, then its worlds' labels
+    are evaluated as a word by eval_word.  This is the evaluator every
+    witness is revalidated with, so it uses no automaton code.
     """
     validate_lasso(s, lasso)
-    walk = lasso.positions()
-    length = len(walk)
-    loop = len(lasso.prefix)
-    true = [True] * length
-    val = {}
+    letters = [s.labels[w] for w in lasso.positions()]
+    return eval_word(compile_formula(f), letters, len(lasso.prefix))
+
+
+# op codes of a compiled formula; every op is (code, argument, argument)
+_PROP, _TOP, _BOTTOM, _NOT, _AND, _OR, _IMPLIES, _NEXT, _FINALLY, _GLOBALLY, _UNTIL = range(11)
+_CODES = {
+    Prop: _PROP, Top: _TOP, Bottom: _BOTTOM, Not: _NOT, And: _AND, Or: _OR,
+    Implies: _IMPLIES, Next: _NEXT, Finally: _FINALLY, Globally: _GLOBALLY, Until: _UNTIL,
+}
+
+
+def compile_formula(f):
+    """Flat program for eval_word: one op per distinct subformula, children
+    first and the root last.  Operands are indices of earlier ops; a Prop
+    op carries its name."""
+    index = {}
+    prog = []
     for node in subformulas(f):
-        if isinstance(node, Prop):
-            row = [node.name in s.labels[w] for w in walk]
-        elif isinstance(node, Top):
-            row = true
-        elif isinstance(node, Bottom):
-            row = [False] * length
-        elif isinstance(node, Not):
-            row = [not x for x in val[node.arg]]
-        elif isinstance(node, And):
-            row = [x and y for x, y in zip(val[node.left], val[node.right])]
-        elif isinstance(node, Or):
-            row = [x or y for x, y in zip(val[node.left], val[node.right])]
-        elif isinstance(node, Implies):
-            row = [(not x) or y for x, y in zip(val[node.left], val[node.right])]
-        elif isinstance(node, Next):
-            arg = val[node.arg]
-            row = arg[1:] + [arg[loop]]
-        elif isinstance(node, Finally):
-            row = _until(true, val[node.arg], loop)
-        elif isinstance(node, Globally):
-            row = [not x for x in _until(true, [not x for x in val[node.arg]], loop)]
-        elif isinstance(node, Until):
-            row = _until(val[node.left], val[node.right], loop)
-        else:
+        code = _CODES.get(type(node))
+        if code is None:
             raise TypeError("unknown formula node %r" % node)
-        val[node] = row
-    return val[f][0]
+        args = [index[c] for c in node.children()] + [None, None]
+        if code == _PROP:
+            args[0] = node.name
+        index[node] = len(prog)
+        prog.append((code, args[0], args[1]))
+    return tuple(prog)
 
 
-def _until(a, b, loop):
-    """Row of a U b on a lasso whose cycle starts at position loop.
+def eval_word(prog, letters, loop):
+    """Truth of a compiled formula at position 0 of letters[:loop] followed
+    by letters[loop:] repeated forever.
 
-    One backward pass of u(i) = b(i) or (a(i) and u(i+1)), starting from
-    false past the last position.  It runs twice round the cycle, so every
-    cycle position has seen the whole cycle ahead of it (the cyclic suffix
-    holds nothing more), then once over the prefix.
+    Each subformula's row is one int over the n = len(letters) positions,
+    position 0 in the top bit.  X is a left shift whose last bit comes from
+    position loop.  a U b is computed on prefix·cycle·cycle, where every
+    first-copy position sees its whole future before the word ends, as
+    (((t + b) ^ t) & t) | b with t = a | b: adding b to t carries from each
+    b position back through the run of a positions before it, and the
+    carry flips exactly the bits of that run.  The second copy is then
+    shifted off.  F a is true U a, and G a is !(true U !a).  So every node
+    but a proposition costs O(1) big-int operations.
     """
-    length = len(b)
-    row = [False] * length
-    cycle = range(length - 1, loop - 1, -1)
-    carry = False
-    for i in (*cycle, *cycle, *range(loop - 1, -1, -1)):
-        carry = b[i] or (a[i] and carry)
-        row[i] = carry
-    return row
+    n = len(letters)
+    if not 0 <= loop < n:
+        raise ValueError("loop point %d is not a position of the word" % loop)
+    cycle = n - loop
+    mask = (1 << n) - 1
+    cycle_mask = (1 << cycle) - 1
+    wrap = cycle - 1
+    rows = []
+    for code, x, y in prog:
+        if code >= _FINALLY:
+            if code == _UNTIL:
+                a, b = rows[x], rows[y]
+            elif code == _FINALLY:
+                a, b = mask, rows[x]
+            else:
+                a, b = mask, rows[x] ^ mask
+            a = (a << cycle) | (a & cycle_mask)
+            b = (b << cycle) | (b & cycle_mask)
+            t = a | b
+            row = ((((t + b) ^ t) & t) | b) >> cycle
+            if code == _GLOBALLY:
+                row ^= mask
+        elif code == _PROP:
+            row = int("".join(["1" if x in letter else "0" for letter in letters]), 2)
+        elif code == _AND:
+            row = rows[x] & rows[y]
+        elif code == _OR:
+            row = rows[x] | rows[y]
+        elif code == _NOT:
+            row = rows[x] ^ mask
+        elif code == _NEXT:
+            arg = rows[x]
+            row = ((arg << 1) & mask) | ((arg >> wrap) & 1)
+        elif code == _IMPLIES:
+            row = (rows[x] ^ mask) | rows[y]
+        elif code == _TOP:
+            row = mask
+        else:
+            row = 0
+        rows.append(row)
+    return rows[-1] >> (n - 1) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,14 @@ class ParseError(ValueError):
     """Raised on malformed formula text."""
 
 
-_TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<name>[a-zA-Z_][a-zA-Z0-9_^']*)
-  | (?P<arrow>->)
-  | (?P<sym>[!&|()])
-    """,
-    re.VERBOSE,
-)
+# One finditer pass: whitespace matches nothing and is skipped, and any
+# other character that starts no token is matched alone by the group.
+_TOKEN = re.compile(r"[a-zA-Z_][a-zA-Z0-9_^']*|->|[!&|()]|(\S)")
 
-_KEYWORDS = {"X", "F", "G", "U", "true", "false"}
+# token text -> token kind: keywords and symbols are their own kind, and
+# any other name is of kind "name"
+_KIND = {t: t for t in ("X", "F", "G", "U", "true", "false", "->", "!", "&", "|", "(", ")")}
+
 _UNARY = {"!": Not, "X": Next, "F": Finally, "G": Globally}
 # binary operators: token -> (binding strength, node); U and -> associate
 # to the right, & and | to the left
@@ -47,20 +44,12 @@ _RIGHT = frozenset(("U", "->"))
 
 def _tokenize(source):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            raise ParseError("unexpected character %r at offset %d" % (source[pos], pos))
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
+    kind = _KIND.get
+    for m in _TOKEN.finditer(source):
         text = m.group()
-        if m.lastgroup == "name":
-            kind = text if text in _KEYWORDS else "name"
-        else:
-            kind = text
-        tokens.append((kind, text, m.start()))
+        if m.lastindex:
+            raise ParseError("unexpected character %r at offset %d" % (text, m.start()))
+        tokens.append((kind(text, "name"), text, m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 

@@ -422,21 +422,22 @@ def test_checker_brute_cross_validation():
         False,
         "%d deterministic pairs agree in %.0fs; the stated cross is "
         "%d pairs and a single universally-true pair on a dense "
-        "three-world structure costs about 40s at bound 12"
+        "three-world structure costs about 11-21s at bound 12"
         % (checked, elapsed, full_pairs),
     )
     pytest.xfail(
         "all %d checked pairs agree (every structure with at most 2 worlds "
         "crossed with every formula of size at most 2, plus 200 seeded "
         "pairs up to size 5%s), but the stated sweep is %d pairs; "
-        "measured rates (26ms average on the two-world core, about 40-53s "
-        "for one universally-true formula on a dense three-world structure "
-        "at bound 12) put it years beyond any budget.  LTLWB_ACCEPT_FULL=1 "
-        "deepens the deterministic core to size-3 formulas."
+        "measured rates (%.1fms average over the pairs checked here, about "
+        "11-21s for one universally-true formula on a dense three-world "
+        "structure at bound 12) put it far beyond any budget.  "
+        "LTLWB_ACCEPT_FULL=1 deepens the deterministic core to size-3 formulas."
         % (
             checked,
             "; with LTLWB_ACCEPT_FULL also every size-3 formula" if FULL else "",
             full_pairs,
+            elapsed / checked * 1e3,
         )
     )
 

@@ -1,5 +1,6 @@
 """Satisfiability routing, bounded X checking, and the brute-force oracle."""
 
+import collections
 import random
 
 import pytest
@@ -284,12 +285,13 @@ class TestBruteMc:
             "a",
         )
         seen = set()
-        for lasso in lassos_up_to(s, 0, 3):
-            seen.add((lasso.prefix, lasso.cycle))
+        for walk, j in lassos_up_to(s, 0, 3):
+            assert walk[j] in s.succ[walk[-1]]
+            seen.add((walk, j))
         # walks of length 1, 2, 3 from a: 1 + 2 + 4; closings at every split
-        assert ((), (0,)) in seen
-        assert ((0,), (1,)) in seen
-        assert ((0, 1), (0,)) in seen
+        assert ((0,), 0) in seen
+        assert ((0, 1), 1) in seen
+        assert ((0, 1, 0), 2) in seen
         assert len(seen) == 1 + 2 * 2 + 4 * 3
 
     def test_agrees_with_mc_universal(self):
@@ -299,3 +301,14 @@ class TestBruteMc:
             s = random_total_structure(rng, rng.randint(1, 3))
             i = McInstance(s, 0, f)
             assert brute_mc(i, 8) == mc_universal(i)
+
+    def test_agrees_with_mc_universal_on_three_worlds(self):
+        rng = random.Random(211)
+        answers = collections.Counter()
+        for _ in range(200):
+            f = random_formula(rng, rng.randint(1, 9), names=("p", "q"))
+            i = McInstance(random_total_structure(rng, 3), 0, f)
+            answer = mc_universal(i)
+            assert brute_mc(i, 8) == answer, f
+            answers[answer] += 1
+        assert min(answers.values()) >= 40

@@ -1,5 +1,7 @@
 """End-to-end coverage of the command-line surface via main(argv)."""
 
+import time
+
 import pytest
 
 from ltlwb import checker, cli
@@ -58,6 +60,18 @@ def test_analyze_large_structure_reports_upper_bound(tmp_path, capsys):
     assert code == 0
     assert "upper-bound" in out
     assert out.startswith("delta=1 pw<=")
+
+
+def test_analyze_hub_formula(tmp_path, capsys):
+    # p is joined to all 2,000 conjunctions of the syntax graph; a min-fill
+    # pass that rescans every vertex per step took over a minute here
+    n = 2000
+    f = _write(tmp_path, "hub.ltl", "(p & " * n + "q" + ")" * n + "\n")
+    started = time.perf_counter()
+    code, out, err = run(["analyze", f], capsys)
+    assert time.perf_counter() - started < 30
+    assert code == 0
+    assert out == "td=0 nvar=2 fragment=- tw<=2 upper-bound\n"
 
 
 def test_analyze_malformed_input(tmp_path, capsys):

@@ -45,6 +45,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("p + q")
 
+    def test_unknown_character_message_and_offset(self):
+        with pytest.raises(ParseError) as err:
+            parse("p &\tX q -> r - s")
+        assert str(err.value) == "unexpected character '-' at offset 13"
+        with pytest.raises(ParseError) as err:
+            parse("F  (p U q)\n& #")
+        assert str(err.value) == "unexpected character '#' at offset 13"
+
     def test_precedence_levels(self):
         f = parse("!p & q U r | s -> t")
         expected = Implies(

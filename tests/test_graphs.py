@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ltlwb import And, Implies, Next, Or, Prop, Until, nvar, parse, temporal_depth
+from ltlwb import graphs
 from ltlwb.graphs import (
     Decomposition,
     Graph,
@@ -296,6 +297,59 @@ class TestMinfill:
             tw, _ = exact_treewidth(g)
             assert w >= tw
             assert check_decomposition(g, dec) == []
+
+    def test_same_order_as_full_rescan(self, monkeypatch):
+        # reference: every step recomputes the fill of every alive vertex
+        # and takes the lowest index among the minimum
+        def reference_order(g):
+            adj = [set() for _ in g.names]
+            for a, b in g.edges:
+                adj[a].add(b)
+                adj[b].add(a)
+            alive = set(range(len(g)))
+            order = []
+            while alive:
+                best_v = best_fill = None
+                for v in sorted(alive):
+                    nb = sorted(adj[v] & alive)
+                    fill = sum(
+                        1 for i, a in enumerate(nb) for b in nb[i + 1 :] if b not in adj[a]
+                    )
+                    if best_fill is None or fill < best_fill:
+                        best_v, best_fill = v, fill
+                nb = sorted(adj[best_v] & alive)
+                for i, a in enumerate(nb):
+                    for b in nb[i + 1 :]:
+                        adj[a].add(b)
+                        adj[b].add(a)
+                alive.remove(best_v)
+                order.append(best_v)
+            return order
+
+        orders = []
+
+        def record(g, order):
+            orders.append(list(order))
+            return build(g, order)
+
+        build = graphs._decomposition_from_elimination
+        monkeypatch.setattr(graphs, "_decomposition_from_elimination", record)
+        rng = random.Random(229)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 24), rng.choice((0.1, 0.25, 0.5, 0.8)))
+            if rng.random() < 0.3:
+                # a hub joined to every other vertex
+                hub = g.names[rng.randrange(len(g))]
+                g = Graph(
+                    [(v, "x") for v in g.names],
+                    [(g.names[a], g.names[b]) for a, b in g.edges]
+                    + [(hub, v) for v in g.names if v != hub],
+                )
+            want = reference_order(g)
+            w, dec = minfill_upper(g)
+            assert orders.pop() == want
+            ref = build(g, want)
+            assert (w, format_decomposition(dec)) == (width(ref), format_decomposition(ref))
 
 
 class TestTextFormats:

@@ -5,14 +5,28 @@ import random
 
 import pytest
 
-from ltlwb import Next, parse
+from ltlwb import (
+    And,
+    Bottom,
+    Finally,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Prop,
+    Top,
+    parse,
+)
 from ltlwb.checker import McInstance, _word_witness, mc_universal
 from ltlwb.kripke import (
     KripkeFormatError,
     KripkeStructure,
     Lasso,
     branching_degree,
+    compile_formula,
     eval_on_lasso,
+    eval_word,
     format_kripke,
     format_lasso,
     parse_kripke,
@@ -217,6 +231,95 @@ class TestEval:
             assert holds == mc_universal(McInstance(s, 0, f)), (f, prefix, cycle)
             outcomes[holds] += 1
         assert min(outcomes.values()) >= 200
+
+
+class TestEvalWord:
+    @staticmethod
+    def reference(f, letters, loop):
+        """Truth of f at position 0, position by position from the
+        semantics: position i's successor is i + 1, or loop after the last,
+        so n steps from any position have seen all of its future."""
+        n = len(letters)
+        memo = {}
+
+        def succ(i):
+            return i + 1 if i + 1 < n else loop
+
+        def until(a, b, i):
+            for _ in range(n):
+                if holds(b, i):
+                    return True
+                if not holds(a, i):
+                    return False
+                i = succ(i)
+            return False
+
+        def holds(g, i):
+            key = (g, i)
+            if key not in memo:
+                if isinstance(g, Prop):
+                    v = g.name in letters[i]
+                elif isinstance(g, Top):
+                    v = True
+                elif isinstance(g, Bottom):
+                    v = False
+                elif isinstance(g, Not):
+                    v = not holds(g.arg, i)
+                elif isinstance(g, And):
+                    v = holds(g.left, i) and holds(g.right, i)
+                elif isinstance(g, Or):
+                    v = holds(g.left, i) or holds(g.right, i)
+                elif isinstance(g, Implies):
+                    v = not holds(g.left, i) or holds(g.right, i)
+                elif isinstance(g, Next):
+                    v = holds(g.arg, succ(i))
+                elif isinstance(g, Finally):
+                    v = until(Top(), g.arg, i)
+                elif isinstance(g, Globally):
+                    v = not until(Top(), Not(g.arg), i)
+                else:
+                    v = until(g.left, g.right, i)
+                memo[key] = v
+            return memo[key]
+
+        return holds(f, 0)
+
+    def check_words(self, rng, count, lengths, size):
+        outcomes = collections.Counter()
+        for _ in range(count):
+            n = rng.randint(*lengths)
+            loop = rng.choice((0, n - 1, rng.randrange(n)))
+            letters = [frozenset(p for p in "pq" if rng.random() < 0.6) for _ in range(n)]
+            f = random_formula(rng, rng.randint(1, size), names=("p", "q"))
+            got = eval_word(compile_formula(f), letters, loop)
+            assert got is self.reference(f, letters, loop), (f, letters, loop)
+            outcomes[got, loop == 0, loop == n - 1] += 1
+        return outcomes
+
+    def test_short_words_against_reference(self):
+        # loop 0 is an empty prefix and loop n - 1 a cycle of one letter
+        outcomes = self.check_words(random.Random(127), 3000, (1, 14), 12)
+        for holds in (True, False):
+            for shape in ((True, False), (False, True), (False, False)):
+                assert outcomes[(holds, *shape)] >= 100
+
+    def test_long_words_against_reference(self):
+        self.check_words(random.Random(131), 6, (1900, 2100), 8)
+        # one q at position 1500 of 2,000, after a run of 1,500 p: inside
+        # the cycle for the first two loop points, in the prefix for the last
+        letters = [frozenset("p")] * 2000
+        letters[1500] = frozenset("q")
+        for loop in (0, 1000, 1600):
+            for text in ("p U q", "X (p U (q & X G p))", "F (q & X X p)", "G p", "!q U !p"):
+                f = parse(text)
+                got = eval_word(compile_formula(f), letters, loop)
+                assert got is self.reference(f, letters, loop), (text, loop)
+
+    def test_loop_outside_the_word_rejected(self):
+        prog = compile_formula(parse("p"))
+        for letters, loop in (([frozenset("p")], 1), ([frozenset("p")], -1), ([], 0)):
+            with pytest.raises(ValueError):
+                eval_word(prog, letters, loop)
 
 
 def _drop_first(lam):
