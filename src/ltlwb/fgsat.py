@@ -50,7 +50,7 @@ def fg_sat(f):
         shape = (shape[0] * 3, shape[1] * 3)
     shapes.append(full)
     for prefix_len, cycle_len in shapes:
-        found = _solve_shape(f, subs, prefix_len, cycle_len)
+        found = _solve_shape(subs, prefix_len, cycle_len)
         if found is not None:
             return found
     return None
@@ -60,7 +60,7 @@ def x_sat(f):
     """Lasso word (prefix letters, cycle letters) satisfying {X} formula f, or None."""
     subs = subformulas(f)
     _temporal_nodes(subs, Next, "x_sat needs an {X}")
-    return _solve_shape(f, subs, temporal_depth(f), 1)
+    return _solve_shape(subs, temporal_depth(f), 1)
 
 
 def _temporal_nodes(subs, ops, needs):
@@ -71,91 +71,96 @@ def _temporal_nodes(subs, ops, needs):
     return found
 
 
-def _read_positions(f, subs, prefix_len, total):
-    """Positions at which the root reads each subformula, root at 0."""
-    reads = {f: {0}}
-    for node in reversed(subs):
-        at = reads[node]
+def _read_positions(subs, kids, prefix_len, total):
+    """Positions at which the root reads each subformula, by index into
+    subs (children first, so the root is last), root at 0."""
+    reads = [set() for _ in subs]
+    reads[-1].add(0)
+    for k in range(len(subs) - 1, -1, -1):
+        node = subs[k]
+        at = reads[k]
         if isinstance(node, Next):
             at = {i + 1 if i + 1 < total else prefix_len for i in at}
         elif isinstance(node, (Finally, Globally)):
             # the prefix recurrence reads it on to the shared cycle variable
             first = min(min(at), prefix_len)
-            reads[node] = set(range(first, prefix_len + 1))
+            reads[k] = set(range(first, prefix_len + 1))
             at = range(first, total)
-        for kid in node.children():
-            kid_at = reads.get(kid)
-            if kid_at is None:
-                reads[kid] = set(at)
-            else:
-                kid_at.update(at)
+        for kid in kids[k]:
+            reads[kid].update(at)
     return reads
 
 
-def _solve_shape(f, subs, prefix_len, cycle_len):
+def _solve_shape(subs, prefix_len, cycle_len):
+    """Lasso word of the given shape satisfying the root, subs[-1], or None."""
     total = prefix_len + cycle_len
-    reads = _read_positions(f, subs, prefix_len, total)
-    var_ids = {}
+    index = {node: k for k, node in enumerate(subs)}
+    kids = [[index[kid] for kid in node.children()] for node in subs]
+    reads = _read_positions(subs, kids, prefix_len, total)
+    # ids[k][i]: the variable of subs[k] at a position i where it is read.
+    # Variables are numbered node by node, children first, in position
+    # order: a node's children are numbered before it, since each is read
+    # wherever its parent reads it.  An X node's row holds its argument's
+    # variables one position on, and every cycle position of an F/G node
+    # holds its one shared cycle variable.  Rows are dicts, not lists of
+    # length total, since a chain X^n p reads each node at one position.
+    ids = [{} for _ in subs]
     nvars = 0
-
-    def var(node, i):
-        nonlocal nvars
-        # all cycle positions of an F/G node share one truth value
-        if i >= prefix_len and isinstance(node, (Finally, Globally)):
-            i = prefix_len
-        key = (node, i)
-        vid = var_ids.get(key)
-        if vid is None:
-            nvars += 1
-            vid = var_ids[key] = nvars
-        return vid
-
     clauses = []
-    for node in subs:
-        at = sorted(reads[node])
+    for k, node in enumerate(subs):
+        at = sorted(reads[k])
+        row = ids[k]
+        kid_rows = [ids[kid] for kid in kids[k]]
         if isinstance(node, Next):
             # no variable: X a at i is a at the next position
+            (a,) = kid_rows
             for i in at:
-                var_ids[node, i] = var(node.arg, i + 1 if i + 1 < total else prefix_len)
+                row[i] = a[i + 1 if i + 1 < total else prefix_len]
             continue
-        kids = node.children()
-        temporal = isinstance(node, (Finally, Globally))
-        if temporal:
-            # in the prefix, F a at i is a | F a at i+1, and G a is a & G a
-            gate = TSEITIN[Or if isinstance(node, Finally) else And]
-        else:
-            gate = TSEITIN.get(type(node))
-        for i in at:
-            v = var(node, i)
-            if isinstance(node, Prop):
-                continue
-            if not temporal:
-                # arity spelled out: building the argument list in a
-                # comprehension made this loop a sixth slower
-                if len(kids) == 2:
-                    clauses.extend(gate(v, var(kids[0], i), var(kids[1], i)))
-                elif kids:
-                    clauses.extend(gate(v, var(kids[0], i)))
-                else:
-                    clauses.extend(gate(v))
-            elif i < prefix_len:
-                clauses.extend(gate(v, var(node.arg, i), var(node, i + 1)))
+        row.update(zip(at, range(nvars + 1, nvars + 1 + len(at))))
+        nvars += len(at)
+        if isinstance(node, Prop):
+            continue
+        if not isinstance(node, (Finally, Globally)):
+            gate = TSEITIN[type(node)]
+            # arity spelled out: building the argument list in a
+            # comprehension made this loop a sixth slower
+            if len(kid_rows) == 2:
+                a, b = kid_rows
+                for i in at:
+                    clauses.extend(gate(row[i], a[i], b[i]))
+            elif kid_rows:
+                (a,) = kid_rows
+                for i in at:
+                    clauses.extend(gate(row[i], a[i]))
             else:
-                args = [var(node.arg, j) for j in range(prefix_len, total)]
-                if isinstance(node, Finally):
-                    clauses.append((-v, *args))
-                    clauses.extend((v, -a) for a in args)
-                else:
-                    clauses.extend((-v, a) for a in args)
-                    clauses.append((v, *[-a for a in args]))
-    clauses.append((var(f, 0),))
+                for i in at:
+                    clauses.extend(gate(row[i]))
+            continue
+        # in the prefix, F a at i is a | F a at i+1, and G a is a & G a
+        gate = TSEITIN[Or if isinstance(node, Finally) else And]
+        (a,) = kid_rows
+        for i in at[:-1]:
+            clauses.extend(gate(row[i], a[i], row[i + 1]))
+        v = row[prefix_len]
+        row.update(dict.fromkeys(range(prefix_len + 1, total), v))
+        args = [a[j] for j in range(prefix_len, total)]
+        if isinstance(node, Finally):
+            clauses.append((-v, *args))
+            clauses.extend((v, -x) for x in args)
+        else:
+            clauses.extend((-v, x) for x in args)
+            clauses.append((v, *[-x for x in args]))
+    clauses.append((ids[-1][0],))
 
     model = solve_cdcl(clauses, nvars=nvars)
     if model is None:
         return None
     letters = [set() for _ in range(total)]
-    for (node, i), vid in var_ids.items():
-        if isinstance(node, Prop) and model[vid]:
-            letters[i].add(node.name)
+    for k, node in enumerate(subs):
+        if isinstance(node, Prop):
+            for i, v in ids[k].items():
+                if model[v]:
+                    letters[i].add(node.name)
     letters = [frozenset(letter) for letter in letters]
     return letters[:prefix_len], letters[prefix_len:]

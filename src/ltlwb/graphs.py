@@ -8,7 +8,7 @@ followed by `link I J` lines.
 
 `syntax_graph` alone names syntax vertices (a proposition by its name,
 every other occurrence `@N` in preorder) and, in the same walk, records
-each occurrence's vertex and the formula's temporal depth.
+each occurrence's vertex in preorder and the formula's temporal depth.
 
 Exact treewidth and pathwidth run a subset dynamic program over elimination
 orderings and layouts, so they are limited to small vertex counts; larger
@@ -43,9 +43,9 @@ class Graph:
     formula's temporal depth; other graphs have None for both.
     """
 
-    __slots__ = ("names", "roles", "edges", "at", "td")
+    __slots__ = ("names", "roles", "edges", "td", "_occurrences", "_at")
 
-    def __init__(self, vertices, edges, at=None, td=None):
+    def __init__(self, vertices, edges, occurrences=None, td=None):
         names = []
         roles = []
         index = {}
@@ -66,11 +66,37 @@ class Graph:
                 raise ValueError("self-loop at %r" % a)
             edge_set.add((min(ia, ib), max(ia, ib)))
         self.edges = frozenset(edge_set)
-        self.at = at
+        # (formula, vertex name of each occurrence in preorder)
+        self._occurrences = occurrences
+        self._at = None
         self.td = td
 
     def __len__(self):
         return len(self.names)
+
+    @property
+    def at(self):
+        """Child-index path -> vertex name of every occurrence, or None if
+        this is not a syntax graph.  Built on first use: the paths together
+        grow with the square of the nesting depth, and only the
+        reductions' witness recipes read them."""
+        if self._at is None and self._occurrences is not None:
+            f, order = self._occurrences
+            at = {}
+            # the preorder of syntax_graph's walk, over nodes of arity 0-2
+            stack = [(f, ())]
+            pop = stack.pop
+            push = stack.append
+            for name in order:
+                node, path = pop()
+                at[path] = name
+                children = node.children()
+                if len(children) == 2:
+                    push((children[1], path + (1,)))
+                if children:
+                    push((children[0], path + (0,)))
+            self._at = at
+        return self._at
 
 
 class Decomposition:
@@ -175,14 +201,14 @@ def syntax_graph(f):
     vertices = []
     props = set()
     edges = []
-    at = {}
+    order = []
     td = 0
     counter = 0
     # preorder walk with explicit stack; each node carries its parent's
-    # vertex, its child-index path and the temporal operators above it
-    stack = [(f, None, (), 0)]
+    # vertex and the temporal operators above it
+    stack = [(f, None, 0)]
     while stack:
-        node, parent, path, depth = stack.pop()
+        node, parent, depth = stack.pop()
         if isinstance(node, Prop):
             name = node.name
             if name not in props:
@@ -197,13 +223,12 @@ def syntax_graph(f):
                 depth += 1
                 if depth > td:
                     td = depth
-            children = node.children()
-            for i in range(len(children) - 1, -1, -1):
-                stack.append((children[i], name, path + (i,), depth))
-        at[path] = name
+            for child in reversed(node.children()):
+                stack.append((child, name, depth))
+        order.append(name)
         if parent is not None:
             edges.append((parent, name))
-    return Graph(vertices, edges, at, td)
+    return Graph(vertices, edges, (f, order), td)
 
 
 # ---------------------------------------------------------------------------

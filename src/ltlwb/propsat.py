@@ -5,11 +5,22 @@ external dependencies.  Used by the bounded lasso encoder (fgsat), which
 encodes {X} and {F,G} formulas with the one Tseitin gate table below; the
 test oracles use a separate plain backtracking solver so the two never
 share code.
+
+The encoder hands over hundreds of thousands of short clauses and the
+search needs few conflicts, so the cost is clause intake and watch-list
+traversal.  Watch lists sit in one list indexed by literal (2*nvars+1
+slots; a negative literal wraps to the upper half, slot 0 is unused), and
+propagation assigns implied literals inline.  `solve_cdcl` attaches 2-
+and 3-literal clauses in one loop that drops tautologies by direct
+comparison; only a clause with a repeated literal, or of another length,
+goes through `add_clause` and its set.  None of this changes a decision:
+clause, watch and trail orders are those of `add_clause` alone.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 
 from .formula import And, Bottom, Implies, Not, Or, Top
 
@@ -29,7 +40,8 @@ class _Solver:
     def __init__(self, nvars):
         self.nvars = nvars
         self.clauses = []
-        self.watches = {}
+        # watches[lit]: clauses watching lit; watches[-v] is slot 2*nvars+1-v
+        self.watches = [[] for _ in range(2 * nvars + 1)]
         self.assign = [None] * (nvars + 1)
         self.level = [0] * (nvars + 1)
         self.reason = [None] * (nvars + 1)
@@ -78,8 +90,8 @@ class _Solver:
     def _attach(self, lits):
         ci = len(self.clauses)
         self.clauses.append(lits)
-        self.watches.setdefault(lits[0], []).append(ci)
-        self.watches.setdefault(lits[1], []).append(ci)
+        self.watches[lits[0]].append(ci)
+        self.watches[lits[1]].append(ci)
 
     def enqueue(self, lit, reason_ci):
         val = self.value(lit)
@@ -97,12 +109,17 @@ class _Solver:
         clauses = self.clauses
         watches = self.watches
         assign = self.assign
+        level = self.level
+        reason = self.reason
+        phase = self.phase
         trail = self.trail
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
             neg = -p
-            watching = watches.get(neg)
+            watching = watches[neg]
             if not watching:
                 continue
             keep = []
@@ -125,20 +142,25 @@ class _Solver:
                     vk = assign[lk] if lk > 0 else assign[-lk]
                     if vk is None or vk is (lk > 0):
                         c[1], c[k] = c[k], c[1]
-                        if lk in watches:
-                            watches[lk].append(ci)
-                        else:
-                            watches[lk] = [ci]
+                        watches[lk].append(ci)
                         break
                 else:
                     keep.append(ci)
-                    if not self.enqueue(c[0], ci):
+                    if v is not None:
                         conflict = c
                         keep.extend(watching[idx:])
                         break
+                    # unit: assign w, as enqueue would
+                    x = w if w > 0 else -w
+                    assign[x] = phase[x] = w > 0
+                    level[x] = lvl
+                    reason[x] = ci
+                    trail.append(w)
             watches[neg] = keep
             if conflict is not None:
+                self.qhead = qhead
                 return conflict
+        self.qhead = qhead
         return None
 
     def bump(self, v):
@@ -262,17 +284,50 @@ class _Solver:
 def solve_cdcl(clauses, nvars=None):
     """Satisfying assignment as a dict {var: bool}, or None if unsatisfiable.
 
-    Clauses are lists of nonzero integer literals over variables 1..nvars.
+    Clauses are sequences of nonzero integer literals over variables
+    1..nvars; a literal 0 or one beyond nvars raises ValueError.
     """
-    clause_list = [tuple(c) for c in clauses]
-    top = max((abs(l) for c in clause_list for l in c), default=0)
+    if not isinstance(clauses, list):
+        clauses = list(clauses)
+    used = set(chain.from_iterable(clauses))
+    if 0 in used:
+        raise ValueError("literal 0 in a clause")
+    top = max(max(used, default=0), -min(used, default=0))
     if nvars is None:
         nvars = top
     if top > nvars:
         raise ValueError("literal exceeds declared variable count")
     s = _Solver(nvars)
-    for c in clause_list:
-        s.add_clause(list(c))
+    watches = s.watches
+    kept = s.clauses
+    # 2- and 3-literal clauses attach inline: a tautology is dropped here,
+    # and one with a repeated literal goes to add_clause like every other
+    # length, so clause and watch order are those of add_clause alone
+    for c in clauses:
+        n = len(c)
+        if n == 2:
+            a, b = c
+            if a == -b:
+                continue
+            if a != b:
+                ci = len(kept)
+                kept.append([a, b])
+                watches[a].append(ci)
+                watches[b].append(ci)
+                continue
+        elif n == 3:
+            a, b, d = c
+            if a == -b or a == -d or b == -d:
+                continue
+            if a != b and a != d and b != d:
+                ci = len(kept)
+                kept.append([a, b, d])
+                watches[a].append(ci)
+                watches[b].append(ci)
+                continue
+        s.add_clause(c)
+        if not s.ok:
+            break
     if not s.search():
         return None
     return {v: bool(s.assign[v]) for v in range(1, nvars + 1)}

@@ -1,5 +1,8 @@
 """End-to-end coverage of the command-line surface via main(argv)."""
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -72,6 +75,29 @@ def test_analyze_hub_formula(tmp_path, capsys):
     assert time.perf_counter() - started < 30
     assert code == 0
     assert out == "td=0 nvar=2 fragment=- tw<=2 upper-bound\n"
+
+
+def test_analyze_deep_hub_formula_memory(tmp_path):
+    # nesting depth 10,000: building a child-index path per occurrence
+    # along with the syntax graph peaked near 800 MiB, though analyze
+    # reads none of them
+    n = 10_000
+    f = _write(tmp_path, "hub.ltl", "(p & " * n + "q" + ")" * n + "\n")
+    probe = (
+        "import resource, sys\n"
+        "from ltlwb import cli\n"
+        "code = cli.main(['analyze', sys.argv[1]])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe, f], capture_output=True,
+                          text=True, env=env, timeout=120)
+    answer, last = done.stdout.splitlines()
+    assert answer == "td=0 nvar=2 fragment=- tw<=2 upper-bound"
+    code, peak_kib = map(int, last.split())
+    assert code == 0
+    assert peak_kib < 200 * 1024
 
 
 def test_analyze_malformed_input(tmp_path, capsys):

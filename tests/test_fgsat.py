@@ -1,14 +1,17 @@
 """Bounded lasso engine for the {F,G} fragment."""
 
+import hashlib
 import random
 
 import pytest
 
 from ltlwb import And, Next, Not, Prop, fgsat, parse
 from ltlwb.buchi import model_word
-from ltlwb.checker import _word_witness
+from ltlwb.checker import _word_witness, until_top_to_finally
 from ltlwb.fgsat import fg_sat, x_sat
+from ltlwb.instances import parse_cnf3, parse_pwsat
 from ltlwb.kripke import eval_on_lasso
+from ltlwb.reductions import reduce_3sat_to_mc, reduce_pwsat_to_sat
 
 from helpers import random_formula
 
@@ -102,3 +105,40 @@ class TestXSat:
             assert x_sat(And(chain(n, p), chain(n, Not(p)))) is None
             assert x_sat(And(chain(n, p), Not(chain(n, p)))) is None
         assert sizes[0] == sizes[2] and sizes[1] == sizes[3]
+
+
+def _word_text(found):
+    prefix, cycle = found
+    spell = lambda letters: "|".join(",".join(sorted(letter)) for letter in letters)
+    return spell(prefix) + " / " + spell(cycle)
+
+
+class TestPinnedWords:
+    # the CDCL search is deterministic, so a change that only makes the
+    # encoder or the solver faster returns these very words; a different
+    # word means the variable numbering, clause order or search moved
+    PWSAT = {
+        "FG": ("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
+               "partition 1 1 2\npartition 2 3\ncapacity 1 1\ncapacity 2 1\n",
+               {"F", "G"}, "5dc0db96065be9e7"),
+        "U": ("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\npartition 1 1 2 3\ncapacity 1 1\n",
+              {"U"}, "549bb2a8b2ee5820"),
+    }
+
+    @pytest.mark.parametrize("target", sorted(PWSAT))
+    def test_pwsat_reduced_formula(self, target):
+        text, ops, digest = self.PWSAT[target]
+        emitted = reduce_pwsat_to_sat(parse_pwsat(text), ops).formula
+        found = fg_sat(until_top_to_finally(emitted))
+        assert (len(found[0]), len(found[1])) == (9, 9)
+        assert hashlib.sha256(_word_text(found).encode()).hexdigest()[:16] == digest
+        s, lasso = _word_witness(*found)
+        assert eval_on_lasso(s, lasso, emitted)
+
+    def test_3sat_x_formula(self):
+        cnf = parse_cnf3("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n")
+        f = reduce_3sat_to_mc(cnf, "X").mc.formula
+        found = x_sat(f)
+        assert _word_text(found) == "||nx_2|x_3 / x_4"
+        s, lasso = _word_witness(*found)
+        assert eval_on_lasso(s, lasso, f)

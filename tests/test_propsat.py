@@ -50,6 +50,19 @@ class TestSolveCdcl:
         with pytest.raises(ValueError):
             solve_cdcl([(3,)], nvars=2)
 
+    def test_negative_literal_out_of_range(self):
+        # watch lists are indexed by literal, so -3 over two variables would
+        # land in another literal's slot instead of failing
+        with pytest.raises(ValueError):
+            solve_cdcl([(-3,)], nvars=2)
+        with pytest.raises(ValueError):
+            solve_cdcl([(1, -3)], nvars=2)
+
+    def test_zero_literal_rejected(self):
+        for clauses in ([(0,)], [(1, 0)], [(1, 2), (2, 0, -1)], [(0, 0)]):
+            with pytest.raises(ValueError):
+                solve_cdcl(clauses, nvars=2)
+
     def test_simple_implication_chain(self):
         clauses = [(1,), (-1, 2), (-2, 3), (-3, 4)]
         model = solve_cdcl(clauses)
@@ -83,6 +96,53 @@ class TestSolveCdcl:
             else:
                 assert model is not None
                 assert check_assignment_cnf(clauses, model)
+
+    def test_repeated_and_complementary_literals(self, monkeypatch):
+        # every 2- and 3-literal clause over two variables, so a repeated or
+        # complementary pair sits in every position: (1, 1), (2, 1, 1),
+        # (1, -1, 2), (1, 2, -1), ...; solve_cdcl attaches these without
+        # add_clause, which is kept here as the reference: the same clauses
+        # and watch lists before the search, and the same model after it
+        lits = (1, -1, 2, -2)
+        short = [c for n in (2, 3) for c in itertools.product(lits, repeat=n)]
+        loaded = []
+        search = _Solver.search
+
+        def snapshot(solver):
+            loaded.append((
+                [list(c) for c in solver.clauses],
+                [list(w) for w in solver.watches],
+                list(solver.trail),
+                solver.ok,
+            ))
+            return search(solver)
+
+        monkeypatch.setattr(_Solver, "search", snapshot)
+        rng = random.Random(313)
+        for trial in range(600):
+            nvars = rng.randint(2, 5)
+            clauses = [rng.choice(short) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 3 * nvars)):
+                size = rng.randint(1, 4)
+                clauses.append(
+                    tuple(rng.choice([1, -1]) * rng.randint(1, nvars) for _ in range(size))
+                )
+            rng.shuffle(clauses)
+            model = solve_cdcl(clauses, nvars)
+            plain = _Solver(nvars)
+            for c in clauses:
+                plain.add_clause(list(c))
+            assert loaded.pop() == (plain.clauses, plain.watches, plain.trail, plain.ok)
+            if search(plain):
+                assert model == {v: plain.assign[v] for v in range(1, nvars + 1)}
+                assert check_assignment_cnf(clauses, model)
+            else:
+                assert model is None
+                assert brute_sat(clauses, nvars) is None
+        for c in short:
+            model = solve_cdcl([c], 2)
+            assert check_assignment_cnf([c], model)
+            assert solve_cdcl([c, (1,), (2,)], 2) == brute_sat([c, (1,), (2,)], 2)
 
     def test_deterministic(self):
         clauses, nvars = pigeonhole(3, 3)
