@@ -4,15 +4,37 @@ Small-model fact the {F,G} route rests on: along the suffixes of any
 infinite word, the truth of every F-subformula is monotone non-increasing
 and of every G-subformula monotone non-decreasing, so with t distinct
 temporal subformulas the vector of their truth values switches at most t
-times.  Keeping position 0, the last position of every switch region, and
-one tail position per surviving eventuality (an F that stays true needs
-its argument infinitely often, a G that stays false needs its argument's
-negation infinitely often) turns any model into a lasso model with prefix
-at most t+1 and cycle at most max(1, t).  F/G formulas contain no X, so
-they are stutter-invariant and a shorter lasso stretches to the exact
-shape (t+1, max(1, t)) by repeating letters.  Unsatisfiability at that one
-shape therefore decides the formula.  An {X} formula of temporal depth td
-reads only positions 0..td, so the one shape (td, 1) decides it.
+times.  A G node in the root's top-level And tree is true at position 0 of
+every model, hence everywhere, and never switches; with k such nodes the
+vector switches at most t - k times.  Keep position 0, the last position
+of every region before the last switch, and some positions after it (the
+tail, where the vector is constant), in order.  That is a lasso with
+prefix at most t - k + 1 whose cycle is made of tail positions.
+
+Which tail positions: a subformula is positive where it sits under an
+even number of negations (Not, or the left side of ->), negative under an
+odd number, and mixed if it has occurrences of both kinds.  Every
+connective, X, F and G included, is monotone in its arguments up to that
+flip.  Claim, by induction from the letters up, at every kept position j
+and its copy j' in the lasso: a node true at j is true at j' if it has a
+positive occurrence, and a node false at j is false at j' if it has a
+negative one (so a mixed node keeps its value).  Letters are copied, and
+Boolean nodes follow from their arguments.  G a true at j has a true at
+every later position, so at every later kept one, and F a false at j has
+a false at every later one: neither case needs a position.  F a true at j
+either falls false later, and then its last true position ends a switch
+region, is kept and has a true, or stays true, and then a holds
+infinitely often in the tail and one tail position where a holds must be
+on the cycle; G a false at j is the same with a false.  The claim asks
+the first only of an F node with a positive occurrence and the second
+only of a G node with a negative one.  So the cycle needs one position
+for each of those, e in all, and the root, positive and true at 0, is
+true on a lasso of cycle at most max(1, e).  F/G formulas
+contain no X, so they are stutter-invariant and a shorter lasso stretches
+to the exact shape (t - k + 1, max(1, e)) by repeating letters.
+Unsatisfiability at that one shape therefore decides the formula.  An {X}
+formula of temporal depth td reads only positions 0..td, so the one shape
+(td, 1) decides it.
 
 A shape is encoded propositionally with one variable per (subformula,
 position) pair that the root reads.  One top-down pass finds those pairs:
@@ -24,25 +46,56 @@ position sees the same cyclic suffix, so an F or G subformula has a single
 shared cycle variable defined by a disjunction or conjunction over the
 cycle, which also rules out the spurious fixpoints a naive recurrence over
 the loop would admit.
+
+Each node's definition v <-> op(args) is split into v -> op(args) and
+op(args) -> v, and a node gets only the half its polarity needs: the first
+if positive, the second if negative, both if mixed (Plaisted & Greenbaum,
+JSC 1986).  The F/G prefix recurrence and the shared cycle variable split
+the same way.  An unsatisfiable answer stays sound, since these clauses
+are a subset of the two-sided ones, which the truth values of any lasso
+model of the shape satisfy.  A satisfiable one does too: in a model of
+the clauses, by the induction above, a positive node whose variable is
+true is true on the lasso of the model's letters and a negative node
+whose variable is false is false there (an F chain that is true ends in a
+true argument or in the cycle variable, which needs one on the cycle), so
+the root, positive and asserted true, holds.  eval_on_lasso revalidates
+every word all the same.
 """
 
 from __future__ import annotations
 
-from .formula import And, Finally, Globally, Next, Or, Prop, subformulas, temporal_depth
+from .formula import (
+    And,
+    Finally,
+    Globally,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Prop,
+    subformulas,
+    temporal_depth,
+)
 from .propsat import TSEITIN, solve_cdcl
 
 _BOOL = (Prop, *TSEITIN)
+
+# polarity bits of a subformula: some occurrence under an even number of
+# negations, some under an odd number, or both
+POSITIVE, NEGATIVE, MIXED = 1, 2, 3
+_FLIP = (0, NEGATIVE, POSITIVE, MIXED)
 
 
 def fg_sat(f):
     """Lasso word (prefix letters, cycle letters) satisfying f, or None.
 
     Letters are frozensets of proposition names.  Small shapes are tried
-    first; the final exhaustive shape is what certifies unsatisfiability.
+    first; the final certifying shape is what decides unsatisfiability.
     """
     subs = subformulas(f)
-    t = len(_temporal_nodes(subs, (Finally, Globally), "fg_sat needs an {F,G}"))
-    full = (t + 1, max(1, t))
+    _require_fragment(subs, (Finally, Globally), "fg_sat needs an {F,G}")
+    kids, pol = _structure(subs)
+    full = _certifying_shape(subs, kids, pol)
     shape = (1, 1)
     shapes = []
     while shape[0] < full[0] or shape[1] < full[1]:
@@ -50,7 +103,7 @@ def fg_sat(f):
         shape = (shape[0] * 3, shape[1] * 3)
     shapes.append(full)
     for prefix_len, cycle_len in shapes:
-        found = _solve_shape(subs, prefix_len, cycle_len)
+        found = _solve_shape(subs, kids, pol, prefix_len, cycle_len)
         if found is not None:
             return found
     return None
@@ -59,16 +112,62 @@ def fg_sat(f):
 def x_sat(f):
     """Lasso word (prefix letters, cycle letters) satisfying {X} formula f, or None."""
     subs = subformulas(f)
-    _temporal_nodes(subs, Next, "x_sat needs an {X}")
-    return _solve_shape(subs, temporal_depth(f), 1)
+    _require_fragment(subs, (Next,), "x_sat needs an {X}")
+    kids, pol = _structure(subs)
+    return _solve_shape(subs, kids, pol, temporal_depth(f), 1)
 
 
-def _temporal_nodes(subs, ops, needs):
-    found = [node for node in subs if not isinstance(node, _BOOL)]
-    for node in found:
-        if not isinstance(node, ops):
+def _certifying_shape(subs, kids, pol):
+    """(t - k + 1, max(1, e)) for an {F,G} formula: t temporal subformulas,
+    k distinct G nodes in the root's top-level And tree, and e F nodes of
+    positive or mixed polarity plus G nodes of negative or mixed polarity."""
+    t = e = 0
+    for node, p in zip(subs, pol):
+        if isinstance(node, Finally):
+            t += 1
+            e += bool(p & POSITIVE)
+        elif isinstance(node, Globally):
+            t += 1
+            e += bool(p & NEGATIVE)
+    conjuncts = set()
+    stack = [len(subs) - 1]
+    while stack:
+        k = stack.pop()
+        if isinstance(subs[k], And):
+            stack.extend(kids[k])
+        elif isinstance(subs[k], Globally):
+            conjuncts.add(k)
+    return t - len(conjuncts) + 1, max(1, e)
+
+
+def _require_fragment(subs, ops, needs):
+    for node in subs:
+        if not isinstance(node, (*_BOOL, *ops)):
             raise ValueError("%s fragment formula, found %s" % (needs, node.op))
-    return found
+
+
+def _structure(subs):
+    """Children indices and polarity of each subformula, by index into subs
+    (children first, so the root is last), in one top-down pass.  The root
+    is positive; Not and the left side of -> flip polarity, every other
+    connective keeps it."""
+    index = {node: k for k, node in enumerate(subs)}
+    kids = [None] * len(subs)
+    pol = [0] * len(subs)
+    pol[-1] = POSITIVE
+    for k in range(len(subs) - 1, -1, -1):
+        node = subs[k]
+        kids[k] = row = [index[kid] for kid in node.children()]
+        p = pol[k]
+        if isinstance(node, Not):
+            pol[row[0]] |= _FLIP[p]
+        elif isinstance(node, Implies):
+            pol[row[0]] |= _FLIP[p]
+            pol[row[1]] |= p
+        else:
+            for kid in row:
+                pol[kid] |= p
+    return kids, pol
 
 
 def _read_positions(subs, kids, prefix_len, total):
@@ -91,11 +190,14 @@ def _read_positions(subs, kids, prefix_len, total):
     return reads
 
 
-def _solve_shape(subs, prefix_len, cycle_len):
-    """Lasso word of the given shape satisfying the root, subs[-1], or None."""
+def _solve_shape(subs, kids, pol, prefix_len, cycle_len):
+    """Lasso word of the given shape satisfying the root, subs[-1], or None.
+
+    kids and pol are _structure(subs): a node of positive polarity gets
+    only the v -> op(args) half of its definition, a negative one only the
+    op(args) -> v half, and a mixed one both.
+    """
     total = prefix_len + cycle_len
-    index = {node: k for k, node in enumerate(subs)}
-    kids = [[index[kid] for kid in node.children()] for node in subs]
     reads = _read_positions(subs, kids, prefix_len, total)
     # ids[k][i]: the variable of subs[k] at a position i where it is read.
     # Variables are numbered node by node, children first, in position
@@ -121,36 +223,48 @@ def _solve_shape(subs, prefix_len, cycle_len):
         nvars += len(at)
         if isinstance(node, Prop):
             continue
+        p = pol[k]
         if not isinstance(node, (Finally, Globally)):
-            gate = TSEITIN[type(node)]
+            halves = TSEITIN[type(node)]
+            gates = halves if p == MIXED else halves[p - 1 : p]
             # arity spelled out: building the argument list in a
             # comprehension made this loop a sixth slower
             if len(kid_rows) == 2:
                 a, b = kid_rows
                 for i in at:
-                    clauses.extend(gate(row[i], a[i], b[i]))
+                    for gate in gates:
+                        clauses.extend(gate(row[i], a[i], b[i]))
             elif kid_rows:
                 (a,) = kid_rows
                 for i in at:
-                    clauses.extend(gate(row[i], a[i]))
+                    for gate in gates:
+                        clauses.extend(gate(row[i], a[i]))
             else:
                 for i in at:
-                    clauses.extend(gate(row[i]))
+                    for gate in gates:
+                        clauses.extend(gate(row[i]))
             continue
         # in the prefix, F a at i is a | F a at i+1, and G a is a & G a
-        gate = TSEITIN[Or if isinstance(node, Finally) else And]
+        halves = TSEITIN[Or if isinstance(node, Finally) else And]
+        gates = halves if p == MIXED else halves[p - 1 : p]
         (a,) = kid_rows
         for i in at[:-1]:
-            clauses.extend(gate(row[i], a[i], row[i + 1]))
+            for gate in gates:
+                clauses.extend(gate(row[i], a[i], row[i + 1]))
         v = row[prefix_len]
         row.update(dict.fromkeys(range(prefix_len + 1, total), v))
         args = [a[j] for j in range(prefix_len, total)]
+        # the shared cycle variable, in the same two halves
         if isinstance(node, Finally):
-            clauses.append((-v, *args))
-            clauses.extend((v, -x) for x in args)
+            if p & POSITIVE:
+                clauses.append((-v, *args))
+            if p & NEGATIVE:
+                clauses.extend((v, -x) for x in args)
         else:
-            clauses.extend((-v, x) for x in args)
-            clauses.append((v, *[-x for x in args]))
+            if p & POSITIVE:
+                clauses.extend((-v, x) for x in args)
+            if p & NEGATIVE:
+                clauses.append((v, *[-x for x in args]))
     clauses.append((ids[-1][0],))
 
     model = solve_cdcl(clauses, nvars=nvars)

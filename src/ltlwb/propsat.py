@@ -2,7 +2,8 @@
 
 Deterministic by construction (activity ties break on variable index), no
 external dependencies.  Used by the bounded lasso encoder (fgsat), which
-encodes {X} and {F,G} formulas with the one Tseitin gate table below; the
+encodes {X} and {F,G} formulas with the one Tseitin gate table below,
+taking from each gate only the half that the node's polarity needs; the
 test oracles use a separate plain backtracking solver so the two never
 share code.
 
@@ -14,25 +15,33 @@ propagation assigns implied literals inline.  `solve_cdcl` attaches 2-
 and 3-literal clauses in one loop that drops tautologies by direct
 comparison; only a clause with a repeated literal, or of another length,
 goes through `add_clause` and its set.  None of this changes a decision:
-clause, watch and trail orders are those of `add_clause` alone.
+clause, watch and trail orders are those of `add_clause` alone.  The
+cyclic garbage collector is paused for each `solve_cdcl` call: the solver
+allocates hundreds of thousands of lists and makes no reference cycles,
+so collections during a solve only cost time.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 from itertools import chain
 
 from .formula import And, Bottom, Implies, Not, Or, Top
 
 # Tseitin definition of v <-> op(args) for each Boolean connective, as
-# clauses over the variables of the node and of its children in order
+# clauses over the variables of the node and of its children in order,
+# split into its two halves: v -> op(args), whose clauses start with -v,
+# and op(args) -> v, whose clauses start with v.  The encoder emits the
+# first half for a node of positive polarity, the second for a negative
+# one and both, in this order, for a mixed one (Plaisted & Greenbaum 1986)
 TSEITIN = {
-    Top: lambda v: [(v,)],
-    Bottom: lambda v: [(-v,)],
-    Not: lambda v, a: [(-v, -a), (v, a)],
-    And: lambda v, a, b: [(-v, a), (-v, b), (v, -a, -b)],
-    Or: lambda v, a, b: [(-v, a, b), (v, -a), (v, -b)],
-    Implies: lambda v, a, b: [(-v, -a, b), (v, a), (v, -b)],
+    Top: (lambda v: [], lambda v: [(v,)]),
+    Bottom: (lambda v: [(-v,)], lambda v: []),
+    Not: (lambda v, a: [(-v, -a)], lambda v, a: [(v, a)]),
+    And: (lambda v, a, b: [(-v, a), (-v, b)], lambda v, a, b: [(v, -a, -b)]),
+    Or: (lambda v, a, b: [(-v, a, b)], lambda v, a, b: [(v, -a), (v, -b)]),
+    Implies: (lambda v, a, b: [(-v, -a, b)], lambda v, a, b: [(v, a), (v, -b)]),
 }
 
 
@@ -286,7 +295,25 @@ def solve_cdcl(clauses, nvars=None):
 
     Clauses are sequences of nonzero integer literals over variables
     1..nvars; a literal 0 or one beyond nvars raises ValueError.
+
+    The cyclic garbage collector is paused for the call and re-enabled on
+    the way out if it was enabled on the way in.  The solver builds only
+    lists of ints, lists of those and tuples of numbers, none of which
+    refer back to one another, so a collection during a solve frees
+    nothing and reference counting frees everything, while the hundreds
+    of thousands of clause and watch lists it allocates set off
+    collections that traverse them, full ones included.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _solve(clauses, nvars)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _solve(clauses, nvars):
     if not isinstance(clauses, list):
         clauses = list(clauses)
     used = set(chain.from_iterable(clauses))

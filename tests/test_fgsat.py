@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from ltlwb import And, Next, Not, Prop, fgsat, parse
+from ltlwb import And, Finally, Globally, Implies, Next, Not, Or, Prop, fgsat, parse
 from ltlwb.buchi import model_word
 from ltlwb.checker import _word_witness, until_top_to_finally
-from ltlwb.fgsat import fg_sat, x_sat
+from ltlwb.fgsat import MIXED, NEGATIVE, POSITIVE, fg_sat, x_sat
+from ltlwb.formula import subformulas
 from ltlwb.instances import parse_cnf3, parse_pwsat
 from ltlwb.kripke import eval_on_lasso
 from ltlwb.reductions import reduce_3sat_to_mc, reduce_pwsat_to_sat
@@ -107,6 +108,121 @@ class TestXSat:
         assert sizes[0] == sizes[2] and sizes[1] == sizes[3]
 
 
+def _certify(text):
+    """(subs, kids, pol) of a parsed formula and the shape fg_sat certifies at."""
+    subs = subformulas(parse(text))
+    kids, pol = fgsat._structure(subs)
+    return subs, kids, pol, fgsat._certifying_shape(subs, kids, pol)
+
+
+def _shared_formula(rng):
+    # a few random {F,G} pieces combined under !, &, | and ->, so that one
+    # subformula often occurs with both polarities
+    pool = [random_formula(rng, rng.randint(2, 6), ops="FG", names=("p", "q"))
+            for _ in range(3)]
+    f = rng.choice(pool)
+    for _ in range(rng.randint(1, 3)):
+        g = rng.choice(pool)
+        if rng.random() < 0.5:
+            g = Not(g)
+        if rng.random() < 0.6:
+            f = rng.choice([And, Or, Implies])(f, g)
+        else:
+            f = Implies(g, f)
+    return f
+
+
+class TestCertifyingShape:
+    # the certifying shape alone, without the ladder of smaller shapes,
+    # must decide every formula; the tight cases fail one position short
+
+    def test_polarity_pass(self):
+        # the left side of -> flips, and so does !
+        subs, kids, pol, _ = _certify("!(F p -> G q) & (!F p | G q)")
+        by_text = {str(node): p for node, p in zip(subs, pol)}
+        assert by_text["F p -> G q"] == NEGATIVE
+        assert by_text["!F p"] == POSITIVE
+        assert by_text["F p"] == by_text["G q"] == by_text["q"] == MIXED
+
+    def test_agrees_with_automaton_route(self):
+        rng = random.Random(307)
+        outcomes = {True: 0, False: 0}
+        mixed = 0
+        for n in range(1200):
+            if n % 2:
+                f = _shared_formula(rng)
+            else:
+                f = random_formula(rng, rng.randint(1, 22), ops="FG")
+            subs = subformulas(f)
+            kids, pol = fgsat._structure(subs)
+            shape = fgsat._certifying_shape(subs, kids, pol)
+            found = fgsat._solve_shape(subs, kids, pol, *shape)
+            assert (found is None) == (model_word(f) is None), f
+            outcomes[found is None] += 1
+            mixed += any(
+                p == MIXED and isinstance(node, (Finally, Globally))
+                for node, p in zip(subs, pol)
+            )
+            if found is not None:
+                s, lasso = _word_witness(*found)
+                assert eval_on_lasso(s, lasso, f), f
+        assert outcomes[True] >= 100 and outcomes[False] >= 800 and mixed >= 150
+
+    @pytest.mark.parametrize("text", [
+        "G F p & G F q & G !(p & q)",
+        # F p and F q also occur negatively: mixed nodes still need a
+        # cycle position each
+        "G F p & G F q & G !(p & q) & (F p -> F q) & (F q -> F p)",
+    ])
+    def test_alternation_needs_cycle_of_two(self, text):
+        subs, kids, pol, shape = _certify(text)
+        assert shape == (3, 2)
+        assert fgsat._solve_shape(subs, kids, pol, 3, 1) is None
+        found = fgsat._solve_shape(subs, kids, pol, *shape)
+        assert found is not None
+        s, lasso = _word_witness(*found)
+        assert eval_on_lasso(s, lasso, subs[-1])
+
+    @pytest.mark.parametrize("text, shape, needed", [
+        # p, then !p, then p for ever: t = 3 and k = 1 (G q)
+        ("G q & (F G p & q) & !G p & p", (3, 2), 2),
+        # p, q and r drop out one at a time before they hold for ever; the
+        # G nodes under | are not conjuncts, so k = 1 and the bound is 6
+        ("p & q & r & !G p & !G q & !G r & F G (p & q & r) & "
+         "G (p & q | p & r | q & r) & (G p | G q | G r | G (p & q & r) | p)",
+         (6, 4), 4),
+    ])
+    def test_prefix_near_bound(self, text, shape, needed):
+        subs, kids, pol, certifying = _certify(text)
+        assert certifying == shape
+        cycle = shape[1]
+        assert fgsat._solve_shape(subs, kids, pol, needed - 1, cycle) is None
+        for prefix_len in (needed, shape[0]):
+            found = fgsat._solve_shape(subs, kids, pol, prefix_len, cycle)
+            assert found is not None
+            s, lasso = _word_witness(*found)
+            assert eval_on_lasso(s, lasso, subs[-1])
+
+    def test_one_sided_clauses_are_a_subset(self, monkeypatch):
+        # with every node marked mixed, the encoder emits both halves of
+        # every definition; the polarity-aware encoding keeps a subset of
+        # those clauses over the same variables
+        encodings = []
+        monkeypatch.setattr(
+            fgsat, "solve_cdcl", lambda clauses, nvars=None: encodings.append(clauses)
+        )
+        rng = random.Random(308)
+        for _ in range(200):
+            f = _shared_formula(rng)
+            subs = subformulas(f)
+            kids, pol = fgsat._structure(subs)
+            fgsat._solve_shape(subs, kids, pol, 3, 2)
+            fgsat._solve_shape(subs, kids, [MIXED] * len(subs), 3, 2)
+            one_sided, both = encodings[-2:]
+            assert set(one_sided) <= set(both)
+            assert len(one_sided) < len(both) or all(p == MIXED for p in pol[:-1])
+
+
 def _word_text(found):
     prefix, cycle = found
     spell = lambda letters: "|".join(",".join(sorted(letter)) for letter in letters)
@@ -116,13 +232,16 @@ def _word_text(found):
 class TestPinnedWords:
     # the CDCL search is deterministic, so a change that only makes the
     # encoder or the solver faster returns these very words; a different
-    # word means the variable numbering, clause order or search moved
+    # word means the shape, variable numbering, clause set or search moved.
+    # Both pwsat words come from the ladder's third shape, (9, e) with e = 6
+    # eventualities that can falsify the root; their digests changed when
+    # the certifying shape and the one-sided clauses came in
     PWSAT = {
         "FG": ("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
                "partition 1 1 2\npartition 2 3\ncapacity 1 1\ncapacity 2 1\n",
-               {"F", "G"}, "5dc0db96065be9e7"),
+               {"F", "G"}, "e34529d7617043b3"),
         "U": ("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\npartition 1 1 2 3\ncapacity 1 1\n",
-              {"U"}, "549bb2a8b2ee5820"),
+              {"U"}, "5d2100bcf1fc41b6"),
     }
 
     @pytest.mark.parametrize("target", sorted(PWSAT))
@@ -130,7 +249,7 @@ class TestPinnedWords:
         text, ops, digest = self.PWSAT[target]
         emitted = reduce_pwsat_to_sat(parse_pwsat(text), ops).formula
         found = fg_sat(until_top_to_finally(emitted))
-        assert (len(found[0]), len(found[1])) == (9, 9)
+        assert (len(found[0]), len(found[1])) == (9, 6)
         assert hashlib.sha256(_word_text(found).encode()).hexdigest()[:16] == digest
         s, lasso = _word_witness(*found)
         assert eval_on_lasso(s, lasso, emitted)

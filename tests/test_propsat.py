@@ -1,11 +1,13 @@
 """Conflict-driven CNF solver against brute-force truth-table enumeration."""
 
 import collections
+import gc
 import itertools
 import random
 
 import pytest
 
+from ltlwb import propsat
 from ltlwb.oracles import check_assignment_cnf
 from ltlwb.propsat import _Solver, solve_cdcl
 
@@ -198,3 +200,60 @@ class TestDecisionHeap:
             assert max(sizes, default=0) <= 2 * nvars
             grew += max(sizes, default=0) > nvars
         assert grew >= 10
+
+
+class TestCollectorPause:
+    # the solver makes no reference cycles, so the cyclic collector is
+    # paused while it runs and left as the caller had it
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def solves(self):
+        clauses, nvars = pigeonhole(3, 3)
+        assert solve_cdcl(clauses, nvars) is not None
+        clauses, nvars = pigeonhole(4, 3)
+        assert solve_cdcl(clauses, nvars) is None
+        with pytest.raises(ValueError):
+            solve_cdcl([(1, -3)], 2)
+
+    def test_paused_during_search(self, collector, monkeypatch):
+        seen = []
+        search = _Solver.search
+
+        def recording(solver):
+            seen.append(gc.isenabled())
+            return search(solver)
+
+        monkeypatch.setattr(_Solver, "search", recording)
+        gc.enable()
+        self.solves()
+        assert seen == [False, False]
+
+    def test_restored_after_every_outcome(self, collector, monkeypatch):
+        # a satisfiable solve, an unsatisfiable one and a rejected literal
+        states = []
+        solve = propsat._solve
+
+        def watched(clauses, nvars):
+            try:
+                return solve(clauses, nvars)
+            finally:
+                states.append(gc.isenabled())
+
+        monkeypatch.setattr(propsat, "_solve", watched)
+        gc.enable()
+        self.solves()
+        assert states == [False, False, False]
+        assert gc.isenabled()
+
+    def test_stays_disabled_for_a_caller_that_disabled_it(self, collector):
+        gc.disable()
+        self.solves()
+        assert not gc.isenabled()
