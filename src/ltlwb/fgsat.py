@@ -1,37 +1,52 @@
 """Satisfiability for the {F,G} and {X} fragments by bounded lassos.
 
-Small-model fact the {F,G} route rests on: along the suffixes of any
-infinite word, the truth of every F-subformula is monotone non-increasing
-and of every G-subformula monotone non-decreasing, so with t distinct
-temporal subformulas the vector of their truth values switches at most t
-times.  A G node in the root's top-level And tree is true at position 0 of
-every model, hence everywhere, and never switches; with k such nodes the
-vector switches at most t - k times.  Keep position 0, the last position
-of every region before the last switch, and some positions after it (the
-tail, where the vector is constant), in order.  That is a lasso with
-prefix at most t - k + 1 whose cycle is made of tail positions.
+Small-model fact the {F,G} route rests on: only eventualities need
+witness positions (after Sistla & Clarke, JACM 1985).  A subformula is
+positive where it sits under an even number of negations (Not, or the
+left side of ->), negative under an odd number, and mixed if it has
+occurrences of both kinds.  Every connective, X, F and G included, is
+monotone in its arguments up to that flip.  Call an F node with a
+positive occurrence and a G node with a negative one demanding: S is the
+set of demanding nodes, and K the set of G nodes in the root's top-level
+And tree.
 
-Which tail positions: a subformula is positive where it sits under an
-even number of negations (Not, or the left side of ->), negative under an
-odd number, and mixed if it has occurrences of both kinds.  Every
-connective, X, F and G included, is monotone in its arguments up to that
-flip.  Claim, by induction from the letters up, at every kept position j
-and its copy j' in the lasso: a node true at j is true at j' if it has a
-positive occurrence, and a node false at j is false at j' if it has a
-negative one (so a mixed node keeps its value).  Letters are copied, and
-Boolean nodes follow from their arguments.  G a true at j has a true at
-every later position, so at every later kept one, and F a false at j has
-a false at every later one: neither case needs a position.  F a true at j
-either falls false later, and then its last true position ends a switch
-region, is kept and has a true, or stays true, and then a holds
-infinitely often in the tail and one tail position where a holds must be
-on the cycle; G a false at j is the same with a false.  The claim asks
-the first only of an F node with a positive occurrence and the second
-only of a G node with a negative one.  So the cycle needs one position
-for each of those, e in all, and the root, positive and true at 0, is
-true on a lasso of cycle at most max(1, e).  F/G formulas
-contain no X, so they are stutter-invariant and a shorter lasso stretches
-to the exact shape (t - k + 1, max(1, e)) by repeating letters.
+Along the suffixes of any infinite word, the truth of every F-subformula
+is monotone non-increasing and of every G-subformula monotone
+non-decreasing, so each temporal node switches at most once.  A node of K
+is true at position 0 of every model, hence everywhere, and never
+switches.  In a model keep position 0; the last true position of each
+demanding F that eventually turns false, where its argument holds; the
+last false position of each demanding G that eventually turns true, where
+its argument fails; and one tail position for each demanding node that
+stays constant, where the argument of an F true for ever holds and that
+of a G false for ever fails (each happens infinitely often).  The tail
+positions are taken past position 0 and every temporal node's switch, so
+every temporal node is constant on the tail.  In order, the kept
+positions form a lasso whose prefix is at most 1 + |S - K| positions,
+since a node of K never switches, and whose cycle is the tail positions,
+at most |S| of them.
+
+Claim, by induction from the letters up, at every kept position j and its
+copy j' in the lasso: a node true at j is true at j' if it has a positive
+occurrence, and a node false at j is false at j' if it has a negative one
+(so a mixed node keeps its value).  Letters are copied, and Boolean nodes
+follow from their arguments.  F a true at j, with a positive occurrence,
+either falls false later, and then its last true position is kept, comes
+at or after j and has a true, or stays true, and then a tail position
+where a holds is on the cycle, which every position of the lasso reaches;
+G a false at j, with a negative occurrence, is the same with a false.  A
+positive G a true at j or a negative F a false at j only claims that a
+holds, or fails, at every later position.  That claim survives dropping
+positions: the kept positions after j are later positions, and where the
+cycle returns to tail positions before j, j is itself in the tail, which
+is constant, so the claim holds on the whole tail.  Such nodes need no
+kept position.  The root, positive and true at 0, is true on a lasso of
+prefix at most 1 + |S - K| and cycle at most max(1, |S|).  That bound is
+never larger than the (t - k + 1, max(1, |S|)) of counting every switch
+of the t temporal nodes, k of them in K, since S - K holds only temporal
+nodes outside K.  F/G formulas contain no X, so they are
+stutter-invariant and a shorter lasso stretches to the exact shape
+(1 + |S - K|, max(1, |S|)) by repeating letters.
 Unsatisfiability at that one shape therefore decides the formula.  An {X}
 formula of temporal depth td reads only positions 0..td, so the one shape
 (td, 1) decides it.
@@ -118,17 +133,16 @@ def x_sat(f):
 
 
 def _certifying_shape(subs, kids, pol):
-    """(t - k + 1, max(1, e)) for an {F,G} formula: t temporal subformulas,
-    k distinct G nodes in the root's top-level And tree, and e F nodes of
-    positive or mixed polarity plus G nodes of negative or mixed polarity."""
-    t = e = 0
-    for node, p in zip(subs, pol):
-        if isinstance(node, Finally):
-            t += 1
-            e += bool(p & POSITIVE)
-        elif isinstance(node, Globally):
-            t += 1
-            e += bool(p & NEGATIVE)
+    """(1 + |S - K|, max(1, |S|)) for an {F,G} formula: S the demanding
+    nodes, F nodes of positive or mixed polarity and G nodes of negative or
+    mixed polarity, and K the G nodes in the root's top-level And tree.
+    Never larger than the (t - k + 1, max(1, |S|)) that counts every
+    temporal node, since S - K holds only temporal nodes outside K."""
+    demanding = {
+        k for k, (node, p) in enumerate(zip(subs, pol))
+        if isinstance(node, Finally) and p & POSITIVE
+        or isinstance(node, Globally) and p & NEGATIVE
+    }
     conjuncts = set()
     stack = [len(subs) - 1]
     while stack:
@@ -137,7 +151,7 @@ def _certifying_shape(subs, kids, pol):
             stack.extend(kids[k])
         elif isinstance(subs[k], Globally):
             conjuncts.add(k)
-    return t - len(conjuncts) + 1, max(1, e)
+    return 1 + len(demanding - conjuncts), max(1, len(demanding))
 
 
 def _require_fragment(subs, ops, needs):

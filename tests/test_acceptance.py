@@ -285,11 +285,11 @@ def test_pwsat_reduction_agreement():
         "(60 canonical + 100 seeded instances), but the full family is "
         "%d rows at a measured %.2fs per row: about %.1f hours against a "
         "%.0fs budget.  The cost floor is the certifying bounded-model "
-        "call at the shape (t - k + 1, max(1, e)) that fg_sat takes from "
-        "the formula's polarities (42-48 prefix + 6 cycle positions, about "
-        "14k variables and 19k clauses for the F/G target; 51-57 + 6, "
-        "about 21k variables and 27k clauses for U); every unsatisfiable "
-        "row must pay it.  Set "
+        "call at the shape (1 + |S - K|, max(1, |S|)) that fg_sat takes "
+        "from the formula's eventualities (7 prefix + 6 cycle positions "
+        "for both targets, about 3.1k variables and 4.3k clauses for the "
+        "F/G target and 4.1k and 5.3k for U); every unsatisfiable row "
+        "must pay it.  Set "
         "LTLWB_ACCEPT_FULL=1 to run the whole family anyway."
         % (rows, 2 * family_size, elapsed / rows, estimate / 3600, budget)
     )

@@ -132,9 +132,29 @@ def _shared_formula(rng):
     return f
 
 
+def _counting_every_switch(subs, kids, pol):
+    """(t - k + 1, max(1, e)), the certifying shape that keeps a prefix
+    position for every switch of the t temporal nodes, k of them G nodes in
+    the root's top-level And tree, and e demanding nodes on the cycle."""
+    temporal = [k for k, node in enumerate(subs)
+                if isinstance(node, (Finally, Globally))]
+    e = sum(bool(pol[k] & (POSITIVE if isinstance(subs[k], Finally) else NEGATIVE))
+            for k in temporal)
+    conjuncts, stack = set(), [len(subs) - 1]
+    while stack:
+        k = stack.pop()
+        if isinstance(subs[k], And):
+            stack.extend(kids[k])
+        elif isinstance(subs[k], Globally):
+            conjuncts.add(k)
+    return len(temporal) - len(conjuncts) + 1, max(1, e)
+
+
 class TestCertifyingShape:
     # the certifying shape alone, without the ladder of smaller shapes,
-    # must decide every formula; the tight cases fail one position short
+    # must decide every formula.  The near-bound cases fail one position
+    # short of what they need; none found needs more than |S - K|, one
+    # less than the bound
 
     def test_polarity_pass(self):
         # the left side of -> flips, and so does !
@@ -184,13 +204,19 @@ class TestCertifyingShape:
         assert eval_on_lasso(s, lasso, subs[-1])
 
     @pytest.mark.parametrize("text, shape, needed", [
-        # p, then !p, then p for ever: t = 3 and k = 1 (G q)
+        # p, then !p, then p for ever: S = {F G p, G p} and K = {G q}
         ("G q & (F G p & q) & !G p & p", (3, 2), 2),
-        # p, q and r drop out one at a time before they hold for ever; the
-        # G nodes under | are not conjuncts, so k = 1 and the bound is 6
+        # p, q and r drop out one at a time before they hold for ever.
+        # S holds the three negated G nodes and F G (p & q & r); the
+        # positive G nodes under | need no position, so the bound is 5 (it
+        # was 6 while every temporal node outside K counted)
         ("p & q & r & !G p & !G q & !G r & F G (p & q & r) & "
          "G (p & q | p & r | q & r) & (G p | G q | G r | G (p & q & r) | p)",
-         (6, 4), 4),
+         (5, 4), 4),
+        # p, q and r in turn, r possibly for ever: the positive G nodes
+        # need no position, so S - K = {F p, F q, F r}; subtracting the
+        # two non-demanding conjuncts as well would leave a prefix of 2
+        ("!p & F p & F q & F r & G (q -> G !p) & G (r -> G !q)", (4, 3), 3),
     ])
     def test_prefix_near_bound(self, text, shape, needed):
         subs, kids, pol, certifying = _certify(text)
@@ -202,6 +228,58 @@ class TestCertifyingShape:
             assert found is not None
             s, lasso = _word_witness(*found)
             assert eval_on_lasso(s, lasso, subs[-1])
+
+    @pytest.mark.parametrize("satisfiable", [True, False])
+    def test_switching_nodes_need_no_position(self, satisfiable):
+        # every G q_i is positive and turns true, every F r_i is negative
+        # and turns false, all after position 0; counting each switch gave
+        # a prefix of 2n + 2, but only the outer F is demanding.  G F r0
+        # makes F r0 demanding too and contradicts !F r0
+        n = 4
+        text = " & ".join("!q%d & r%d" % (i, i) for i in range(n))
+        text += " & F (%s)" % " & ".join(
+            "G q%d & !F r%d" % (i, i) for i in range(n))
+        if not satisfiable:
+            text += " & G F r0"
+        subs, kids, pol, shape = _certify(text)
+        assert shape == ((2, 1) if satisfiable else (3, 2))
+        assert _counting_every_switch(subs, kids, pol)[0] == 2 * n + 2
+        found = fgsat._solve_shape(subs, kids, pol, *shape)
+        assert (found is not None) == satisfiable
+        assert (model_word(subs[-1]) is not None) == satisfiable
+        if found is not None:
+            s, lasso = _word_witness(*found)
+            assert eval_on_lasso(s, lasso, subs[-1])
+
+    def test_demanding_conjunct(self):
+        # G F p is a top-level conjunct that also sits on the left of ->,
+        # so it is demanding but true everywhere and never switches: it
+        # widens the cycle and not the prefix
+        subs, kids, pol, shape = _certify("G F p & (G F p -> F G q) & !q & p")
+        demanding = [str(node) for node, p in zip(subs, pol)
+                     if isinstance(node, Finally) and p & POSITIVE
+                     or isinstance(node, Globally) and p & NEGATIVE]
+        assert sorted(demanding) == ["F G q", "F p", "G F p"]
+        assert shape == (3, 3)
+        found = fgsat._solve_shape(subs, kids, pol, *shape)
+        s, lasso = _word_witness(*found)
+        assert eval_on_lasso(s, lasso, subs[-1])
+
+    def test_never_larger_than_counting_every_switch(self):
+        rng = random.Random(309)
+        smaller = 0
+        for n in range(600):
+            if n % 2:
+                f = _shared_formula(rng)
+            else:
+                f = random_formula(rng, rng.randint(1, 22), ops="FG")
+            subs = subformulas(f)
+            kids, pol = fgsat._structure(subs)
+            prefix_len, cycle_len = fgsat._certifying_shape(subs, kids, pol)
+            old_prefix, old_cycle = _counting_every_switch(subs, kids, pol)
+            assert prefix_len <= old_prefix and cycle_len <= old_cycle, f
+            smaller += prefix_len < old_prefix
+        assert smaller >= 200
 
     def test_one_sided_clauses_are_a_subset(self, monkeypatch):
         # with every node marked mixed, the encoder emits both halves of
@@ -233,15 +311,17 @@ class TestPinnedWords:
     # the CDCL search is deterministic, so a change that only makes the
     # encoder or the solver faster returns these very words; a different
     # word means the shape, variable numbering, clause set or search moved.
-    # Both pwsat words come from the ladder's third shape, (9, e) with e = 6
-    # eventualities that can falsify the root; their digests changed when
-    # the certifying shape and the one-sided clauses came in
+    # Both pwsat words come from the ladder's third shape, which is now the
+    # certifying shape (7, 6): 1 + |S - K| = 7 with |S| = 6 demanding nodes,
+    # none of them a top-level G.  Their digests changed when the
+    # certifying shape and the one-sided clauses came in, and again when
+    # the shape stopped counting non-demanding nodes (it was (9, 6))
     PWSAT = {
         "FG": ("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
                "partition 1 1 2\npartition 2 3\ncapacity 1 1\ncapacity 2 1\n",
-               {"F", "G"}, "e34529d7617043b3"),
+               {"F", "G"}, "1e4194f743e161ad"),
         "U": ("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\npartition 1 1 2 3\ncapacity 1 1\n",
-              {"U"}, "5d2100bcf1fc41b6"),
+              {"U"}, "9239d05246686bd6"),
     }
 
     @pytest.mark.parametrize("target", sorted(PWSAT))
@@ -249,7 +329,7 @@ class TestPinnedWords:
         text, ops, digest = self.PWSAT[target]
         emitted = reduce_pwsat_to_sat(parse_pwsat(text), ops).formula
         found = fg_sat(until_top_to_finally(emitted))
-        assert (len(found[0]), len(found[1])) == (9, 6)
+        assert (len(found[0]), len(found[1])) == (7, 6)
         assert hashlib.sha256(_word_text(found).encode()).hexdigest()[:16] == digest
         s, lasso = _word_witness(*found)
         assert eval_on_lasso(s, lasso, emitted)
