@@ -40,10 +40,12 @@ from .formula import (
 
 
 class Release(_Binary):
-    """Dual of Until; internal to the normal form."""
+    """Dual of Until; internal to the normal form.  a R b is !(!a U !b), so
+    it carries U's bit and, like U, adds one level of temporal depth."""
 
     __slots__ = ()
     op = "R"
+    opbit = Until.opbit
 
 
 # connective -> (its normal-form connective, that of its negation)

@@ -60,7 +60,10 @@ class McInstance:
 
 
 def until_top_to_finally(f):
-    """Rewrite every (true U a) into F a; the two are the same connective."""
+    """Rewrite every (true U a) into F a; the two are the same connective.
+    A formula without U comes back as the same object."""
+    if not f.opbits & Until.opbit:
+        return f
     out = {}
     for node in subformulas(f):
         kids = [out[c] for c in node.children()]

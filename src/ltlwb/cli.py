@@ -17,7 +17,7 @@ import time
 
 from . import verify as verify_mod
 from .checker import McInstance, brute_mc, mc_counterexample, mc_x_bounded, sat, sat_x
-from .formula import format_formula, fragment_of
+from .formula import format_formula, fragment_of, temporal_depth
 from .graphs import (
     EXACT_LIMIT,
     exact_pathwidth,
@@ -43,15 +43,7 @@ from .oracles import (
     solve_square_tiling,
 )
 from .parser import ParseError, parse
-from .reductions import (
-    reduce_3sat_to_mc,
-    reduce_pwsat_to_sat,
-    reduce_recttiling_to_mc_u,
-    reduce_recttiling_to_mc_xf,
-    reduce_sqtiling_to_mc_t,
-    reduce_sqtiling_to_mc_x,
-    structure_graph,
-)
+from .reductions import structure_graph
 
 _FORMAT_ERRORS = (ParseError, InstanceFormatError, KripkeFormatError, ValueError, OSError)
 
@@ -122,7 +114,7 @@ def cmd_analyze(args):
         tail = "tw<=%d upper-bound" % w
     print(
         "td=%d nvar=%d fragment=%s %s"
-        % (g.td, g.roles.count("prop"), _fragment_text(f), tail)
+        % (temporal_depth(f), g.roles.count("prop"), _fragment_text(f), tail)
     )
     return 0
 
@@ -130,24 +122,24 @@ def cmd_analyze(args):
 # ---------------------------------------------------------------------------
 # reduce
 
-_REDUCERS = {
-    "pwsat": (parse_pwsat, lambda i: reduce_pwsat_to_sat(i, {"F", "G"})),
-    "pwsat-u": (parse_pwsat, lambda i: reduce_pwsat_to_sat(i, {"U"})),
-    "3sat-f": (parse_cnf3, lambda i: reduce_3sat_to_mc(i, "F")),
-    "3sat-x": (parse_cnf3, lambda i: reduce_3sat_to_mc(i, "X")),
-    "sqtile-x": (parse_square_tiling, reduce_sqtiling_to_mc_x),
-    "sqtile-f": (parse_square_tiling, lambda i: reduce_sqtiling_to_mc_t(i, "F")),
-    "sqtile-g": (parse_square_tiling, lambda i: reduce_sqtiling_to_mc_t(i, "G")),
-    "sqtile-u": (parse_square_tiling, lambda i: reduce_sqtiling_to_mc_t(i, "U")),
-    "recttile-xf": (parse_rect_tiling, reduce_recttiling_to_mc_xf),
-    "recttile-u": (parse_rect_tiling, reduce_recttiling_to_mc_u),
+# family -> instance parser; the reducer is the family's entry in verify._RUNNERS
+_PARSERS = {
+    "pwsat": parse_pwsat,
+    "pwsat-u": parse_pwsat,
+    "3sat-f": parse_cnf3,
+    "3sat-x": parse_cnf3,
+    "sqtile-x": parse_square_tiling,
+    "sqtile-f": parse_square_tiling,
+    "sqtile-g": parse_square_tiling,
+    "sqtile-u": parse_square_tiling,
+    "recttile-xf": parse_rect_tiling,
+    "recttile-u": parse_rect_tiling,
 }
 
 
 def cmd_reduce(args):
-    parser_fn, reducer = _REDUCERS[args.family]
-    inst = parser_fn(_read(args.input))
-    out = reducer(inst)
+    inst = _PARSERS[args.family](_read(args.input))
+    out = verify_mod._RUNNERS[args.family][1](inst)
     os.makedirs(args.outdir, exist_ok=True)
     emitted = out.formula if out.mc is None else out.mc.formula
     _write(os.path.join(args.outdir, "formula.txt"), format_formula(emitted) + "\n")
@@ -285,7 +277,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("reduce", help="run a reduction and write its artifacts")
-    p.add_argument("family", choices=sorted(_REDUCERS))
+    p.add_argument("family", choices=sorted(_PARSERS))
     p.add_argument("input", help="instance file")
     p.add_argument("outdir", help="directory for the emitted files")
     p.set_defaults(fn=cmd_reduce)
@@ -299,7 +291,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("oracle", help="solve a source instance directly")
-    p.add_argument("family", choices=sorted(_REDUCERS))
+    p.add_argument("family", choices=sorted(_PARSERS))
     p.add_argument("input", help="instance file")
     p.add_argument("--bound", type=int, default=None, help="rectangle height bound")
     p.set_defaults(fn=cmd_oracle)

@@ -88,12 +88,14 @@ from .formula import (
     Not,
     Or,
     Prop,
+    fragment_of,
     subformulas,
     temporal_depth,
 )
 from .propsat import TSEITIN, solve_cdcl
 
-_BOOL = (Prop, *TSEITIN)
+_FG_ONLY = frozenset("FG")
+_X_ONLY = frozenset("X")
 
 # polarity bits of a subformula: some occurrence under an even number of
 # negations, some under an odd number, or both
@@ -107,8 +109,11 @@ def fg_sat(f):
     Letters are frozensets of proposition names.  Small shapes are tried
     first; the final certifying shape is what decides unsatisfiability.
     """
+    extra = fragment_of(f) - _FG_ONLY
+    if extra:
+        raise ValueError("fg_sat needs an {F,G} fragment formula, found %s"
+                         % "".join(sorted(extra)))
     subs = subformulas(f)
-    _require_fragment(subs, (Finally, Globally), "fg_sat needs an {F,G}")
     kids, pol = _structure(subs)
     full = _certifying_shape(subs, kids, pol)
     shape = (1, 1)
@@ -126,8 +131,11 @@ def fg_sat(f):
 
 def x_sat(f):
     """Lasso word (prefix letters, cycle letters) satisfying {X} formula f, or None."""
+    extra = fragment_of(f) - _X_ONLY
+    if extra:
+        raise ValueError("x_sat needs an {X} fragment formula, found %s"
+                         % "".join(sorted(extra)))
     subs = subformulas(f)
-    _require_fragment(subs, (Next,), "x_sat needs an {X}")
     kids, pol = _structure(subs)
     return _solve_shape(subs, kids, pol, temporal_depth(f), 1)
 
@@ -152,12 +160,6 @@ def _certifying_shape(subs, kids, pol):
         elif isinstance(subs[k], Globally):
             conjuncts.add(k)
     return 1 + len(demanding - conjuncts), max(1, len(demanding))
-
-
-def _require_fragment(subs, ops, needs):
-    for node in subs:
-        if not isinstance(node, (*_BOOL, *ops)):
-            raise ValueError("%s fragment formula, found %s" % (needs, node.op))
 
 
 def _structure(subs):

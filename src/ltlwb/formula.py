@@ -7,15 +7,28 @@ Grammar (linear-time temporal logic over propositions):
 
 Derived connectives (or, implies, G, true, false) are first-class nodes;
 measures are taken on the tree as written, nothing is desugared.
+
+Every node carries its temporal depth `td` and `opbits`, the temporal
+operators of its subtree as a bitmask.  Its constructor sets both from its
+children in O(1), driven by the connective's own `opbit`, so
+`temporal_depth` and `fragment_of` read the node and never walk the tree.
 """
 
 from __future__ import annotations
 
 
 class Formula:
-    """Base class for formula nodes. Nodes are immutable and hashable."""
+    """Base class for formula nodes. Nodes are immutable and hashable.
+
+    `opbit` is the connective's bit in `opbits`, 0 for an atom or a Boolean
+    connective; a node with a nonzero bit adds one level of temporal depth.
+    Atoms and constants read `td` and `opbits` from these class defaults.
+    """
 
     __slots__ = ("_hash",)
+    opbit = 0
+    td = 0
+    opbits = 0
 
     def children(self):
         return ()
@@ -52,8 +65,8 @@ class Prop(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("p", name)))
+        self.name = name
+        self._hash = hash(("p", name))
 
 
 class Top(Formula):
@@ -62,7 +75,7 @@ class Top(Formula):
     __slots__ = ()
 
     def __init__(self):
-        object.__setattr__(self, "_hash", hash("true"))
+        self._hash = hash("true")
 
 
 class Bottom(Formula):
@@ -71,29 +84,36 @@ class Bottom(Formula):
     __slots__ = ()
 
     def __init__(self):
-        object.__setattr__(self, "_hash", hash("false"))
+        self._hash = hash("false")
 
 
 class _Unary(Formula):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "td", "opbits")
     op = "?"
 
     def __init__(self, arg):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_hash", hash((self.op, arg._hash)))
+        self.arg = arg
+        self._hash = hash((self.op, arg._hash))
+        bit = self.opbit
+        self.td = arg.td + 1 if bit else arg.td
+        self.opbits = arg.opbits | bit
 
     def children(self):
         return (self.arg,)
 
 
 class _Binary(Formula):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "td", "opbits")
     op = "?"
 
     def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash((self.op, left._hash, right._hash)))
+        self.left = left
+        self.right = right
+        self._hash = hash((self.op, left._hash, right._hash))
+        bit = self.opbit
+        td = left.td if left.td > right.td else right.td
+        self.td = td + 1 if bit else td
+        self.opbits = left.opbits | right.opbits | bit
 
     def children(self):
         return (self.left, self.right)
@@ -111,6 +131,7 @@ class Next(_Unary):
 
     __slots__ = ()
     op = "X"
+    opbit = 1
 
 
 class Finally(_Unary):
@@ -118,6 +139,7 @@ class Finally(_Unary):
 
     __slots__ = ()
     op = "F"
+    opbit = 2
 
 
 class Globally(_Unary):
@@ -125,6 +147,7 @@ class Globally(_Unary):
 
     __slots__ = ()
     op = "G"
+    opbit = 4
 
 
 class And(_Binary):
@@ -153,9 +176,14 @@ class Until(_Binary):
 
     __slots__ = ()
     op = "U"
+    opbit = 8
 
 
 TEMPORAL_OPS = frozenset("XFGU")
+
+# opbits -> the set of temporal operators it names
+_FRAGMENTS = tuple(frozenset(op for k, op in enumerate("XFGU") if bits >> k & 1)
+                   for bits in range(16))
 
 
 class NotExpressible(ValueError):
@@ -206,44 +234,18 @@ def subformulas(f):
     return order
 
 
-def ast_size(f):
-    """Number of nodes in the tree, counting repeated subtrees once per occurrence."""
-    table = {}
-    for node in subformulas(f):
-        table[node] = 1 + sum(table[c] for c in node.children())
-    return table[f]
-
-
 def temporal_depth(f):
     """Maximal nesting of temporal operators.
 
     X, F, G add one level; U adds one on top of both arguments; Boolean
     connectives and atoms add nothing.
     """
-    table = {}
-    for node in subformulas(f):
-        kids = node.children()
-        base = max((table[c] for c in kids), default=0)
-        if isinstance(node, (Next, Finally, Globally, Until)):
-            table[node] = base + 1
-        else:
-            table[node] = base
-    return table[f]
+    return f.td
 
 
 def fragment_of(f):
     """Set of temporal operators syntactically present in f."""
-    frag = set()
-    for node in subformulas(f):
-        if isinstance(node, Next):
-            frag.add("X")
-        elif isinstance(node, Finally):
-            frag.add("F")
-        elif isinstance(node, Globally):
-            frag.add("G")
-        elif isinstance(node, Until):
-            frag.add("U")
-    return frozenset(frag)
+    return _FRAGMENTS[f.opbits]
 
 
 def props(f):

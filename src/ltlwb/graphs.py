@@ -8,7 +8,8 @@ followed by `link I J` lines.
 
 `syntax_graph` alone names syntax vertices (a proposition by its name,
 every other occurrence `@N` in preorder) and, in the same walk, records
-each occurrence's vertex in preorder and the formula's temporal depth.
+each occurrence's vertex in preorder.  The formula's temporal depth is
+not a graph measure: the formula's root node carries it.
 
 Exact treewidth and pathwidth run a subset dynamic program over elimination
 orderings and layouts, so they are limited to small vertex counts; larger
@@ -39,13 +40,13 @@ class Graph:
 
     `edges` holds index pairs (i, j) with i < j into `names`/`roles`.  A
     syntax graph also carries `at`, mapping each occurrence's child-index
-    path (a tuple, () for the root) to its vertex name, and `td`, the
-    formula's temporal depth; other graphs have None for both.
+    path (a tuple, () for the root) to its vertex name; other graphs have
+    None there.
     """
 
-    __slots__ = ("names", "roles", "edges", "td", "_occurrences", "_at")
+    __slots__ = ("names", "roles", "edges", "_occurrences", "_at")
 
-    def __init__(self, vertices, edges, occurrences=None, td=None):
+    def __init__(self, vertices, edges, occurrences=None):
         names = []
         roles = []
         index = {}
@@ -69,7 +70,6 @@ class Graph:
         # (formula, vertex name of each occurrence in preorder)
         self._occurrences = occurrences
         self._at = None
-        self.td = td
 
     def __len__(self):
         return len(self.names)
@@ -176,8 +176,6 @@ def check_decomposition(g, d):
 # ---------------------------------------------------------------------------
 # graph builders
 
-_TEMPORAL = (Next, Finally, Globally, Until)
-
 _ROLE = {
     Not: "not",
     And: "and",
@@ -195,20 +193,18 @@ _ROLE = {
 def syntax_graph(f):
     """One vertex per subformula occurrence, with all occurrences of a
     proposition merged into a single vertex; edges join each node to its
-    immediate subformulas.  The result's `at` and `td` come from the same
-    walk, which counts occurrences, so a subformula object used twice is
-    visited twice."""
+    immediate subformulas.  The result's `at` comes from the same walk,
+    which counts occurrences, so a subformula object used twice is visited
+    twice."""
     vertices = []
     props = set()
     edges = []
     order = []
-    td = 0
     counter = 0
-    # preorder walk with explicit stack; each node carries its parent's
-    # vertex and the temporal operators above it
-    stack = [(f, None, 0)]
+    # preorder walk with explicit stack; each node carries its parent's vertex
+    stack = [(f, None)]
     while stack:
-        node, parent, depth = stack.pop()
+        node, parent = stack.pop()
         if isinstance(node, Prop):
             name = node.name
             if name not in props:
@@ -219,16 +215,12 @@ def syntax_graph(f):
             name = "@%d" % counter
             counter += 1
             vertices.append((name, _ROLE[type(node)]))
-            if isinstance(node, _TEMPORAL):
-                depth += 1
-                if depth > td:
-                    td = depth
             for child in reversed(node.children()):
-                stack.append((child, name, depth))
+                stack.append((child, name))
         order.append(name)
         if parent is not None:
             edges.append((parent, name))
-    return Graph(vertices, edges, (f, order), td)
+    return Graph(vertices, edges, (f, order))
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +280,8 @@ def exact_treewidth(g, limit=EXACT_LIMIT):
     size = 1 << n
     cost = [0] * size
     choice = [0] * size
-    by_count = sorted(range(size), key=lambda m: m.bit_count())
-    for s in by_count:
-        if s == 0:
-            continue
+    # every s ^ low is numerically below s, so ascending order is bottom-up
+    for s in range(1, size):
         best = n
         best_v = -1
         rest = s
@@ -350,10 +340,8 @@ def exact_pathwidth(g, limit=EXACT_LIMIT):
     size = 1 << n
     cost = [0] * size
     choice = [0] * size
-    by_count = sorted(range(size), key=lambda m: m.bit_count())
-    for s in by_count:
-        if s == 0:
-            continue
+    # every s ^ low is numerically below s, so ascending order is bottom-up
+    for s in range(1, size):
         b = boundary(s)
         best = n
         best_v = -1

@@ -238,12 +238,6 @@ def parse_cnf3(text):
         raise InstanceFormatError(str(e)) from None
 
 
-def format_cnf3(c):
-    lines = ["p cnf %d %d" % (c.nvars, len(c.clauses))]
-    lines.extend(" ".join(str(l) for l in cl) + " 0" for cl in c.clauses)
-    return "\n".join(lines) + "\n"
-
-
 def parse_pwsat(text):
     nvars, clauses, extensions = _parse_dimacs(text, frozenset({"partition", "capacity"}))
     partitions = {}
@@ -278,16 +272,6 @@ def parse_pwsat(text):
         tuple(partitions[p] for p in range(1, k + 1)),
         tuple(capacities[p] for p in range(1, k + 1)),
     )
-
-
-def format_pwsat(i):
-    lines = ["p cnf %d %d" % (i.nvars, len(i.clauses))]
-    lines.extend(" ".join(str(l) for l in cl) + " 0" for cl in i.clauses)
-    for p, part in enumerate(i.partitions, start=1):
-        lines.append("partition %d %s" % (p, " ".join(str(v) for v in part)))
-    for p, cap in enumerate(i.capacities, start=1):
-        lines.append("capacity %d %d" % (p, cap))
-    return "\n".join(lines) + "\n"
 
 
 def _parse_tiling(text, kind):
@@ -339,17 +323,3 @@ def parse_square_tiling(text):
 
 def parse_rect_tiling(text):
     return _parse_tiling(text, "rect")
-
-
-def format_square_tiling(t):
-    lines = ["colors " + " ".join(t.colors)]
-    lines.extend("tile %s %s %s %s" % tile for tile in t.tiles)
-    lines.append("k " + "1" * t.k)
-    return "\n".join(lines) + "\n"
-
-
-def format_rect_tiling(t):
-    lines = ["colors " + " ".join(t.colors)]
-    lines.extend("tile %s %s %s %s" % tile for tile in t.tiles)
-    lines.append("bounds %s %s" % (t.top, t.bottom))
-    return "\n".join(lines) + "\n"

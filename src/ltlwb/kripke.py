@@ -31,7 +31,7 @@ from .formula import (
 
 
 class KripkeFormatError(ValueError):
-    """Raised on malformed structure or lasso text."""
+    """Raised on malformed structure text."""
 
 
 class KripkeStructure:
@@ -108,12 +108,6 @@ class Lasso:
 
     def positions(self):
         return self.prefix + self.cycle
-
-    def world_at(self, i):
-        """World index at unrolled position i of prefix·cycle^ω."""
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
     def __eq__(self, other):
         if not isinstance(other, Lasso):
@@ -323,35 +317,6 @@ def format_kripke(s):
             lines.append("edge %s %s" % (name, s.names[j]))
     lines.append("init %s" % s.names[s.init])
     return "\n".join(lines) + "\n"
-
-
-def parse_lasso(text, s):
-    """Read a witness path: `prefix [ids...]` then `cycle <ids...>`."""
-    prefix = None
-    cycle = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "prefix":
-            if prefix is not None:
-                raise KripkeFormatError("line %d: repeated prefix" % lineno)
-            prefix = parts[1:]
-        elif parts[0] == "cycle":
-            if cycle is not None:
-                raise KripkeFormatError("line %d: repeated cycle" % lineno)
-            cycle = parts[1:]
-        else:
-            raise KripkeFormatError("line %d: unknown directive %r" % (lineno, parts[0]))
-    if cycle is None or not cycle:
-        raise KripkeFormatError("missing or empty cycle line")
-    try:
-        pre = [s.index(n) for n in (prefix or [])]
-        cyc = [s.index(n) for n in cycle]
-    except KeyError as e:
-        raise KripkeFormatError(str(e)) from None
-    return Lasso(pre, cyc)
 
 
 def format_lasso(lasso, s):

@@ -198,9 +198,9 @@ def _xpow(f, p):
     return f
 
 
-def _mk_certs(g, witness, structure=None):
-    """Certificates of an emitted formula, measured by its syntax graph g."""
-    certs = {"td": g.td, "nvar": g.roles.count("prop")}
+def _mk_certs(f, g, witness, structure=None):
+    """Certificates of an emitted formula f with syntax graph g."""
+    certs = {"td": temporal_depth(f), "nvar": g.roles.count("prop")}
     if structure is not None:
         certs["delta"] = branching_degree(structure)
     certs["width"] = width(witness)
@@ -311,7 +311,7 @@ def reduce_pwsat_to_sat(inst, target):
     g = syntax_graph(emitted)
     witness = _pwsat_witness(emitted, g, inst)
     return ReductionOutput(formula=emitted, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(g, witness))
+                           certificates=_mk_certs(emitted, g, witness))
 
 
 def _pwsat_witness(emitted, g, inst):
@@ -513,7 +513,7 @@ def reduce_sqtiling_to_mc_x(t):
     g = syntax_graph(emitted)
     witness = _square_witness(emitted, g, t, op=None)
     return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(g, witness, s))
+                           certificates=_mk_certs(emitted, g, witness, s))
 
 
 def _opf_factory(op):
@@ -544,7 +544,7 @@ def reduce_sqtiling_to_mc_t(t, op):
     g = syntax_graph(emitted)
     witness = _square_witness(emitted, g, t, op=op)
     return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(g, witness, s))
+                           certificates=_mk_certs(emitted, g, witness, s))
 
 
 def _square_witness(emitted, g, t, op):
@@ -640,7 +640,7 @@ def reduce_recttiling_to_mc_xf(t):
     g = syntax_graph(emitted)
     witness = _rect_xf_witness(emitted, g, t)
     return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(g, witness, s))
+                           certificates=_mk_certs(emitted, g, witness, s))
 
 
 def _rect_xf_witness(emitted, g, t):
@@ -754,7 +754,7 @@ def reduce_recttiling_to_mc_u(t):
     g = syntax_graph(emitted)
     witness = _rect_u_witness(emitted, g, t)
     return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(g, witness, s))
+                           certificates=_mk_certs(emitted, g, witness, s))
 
 
 def _rect_u_witness(emitted, g, t):

@@ -37,19 +37,6 @@ from .reductions import (
     reduce_sqtiling_to_mc_x,
 )
 
-FAMILIES = (
-    "pwsat",
-    "pwsat-u",
-    "3sat-f",
-    "3sat-x",
-    "sqtile-x",
-    "sqtile-f",
-    "sqtile-g",
-    "sqtile-u",
-    "recttile-xf",
-    "recttile-u",
-)
-
 _CERT_ORDER = ("td", "delta", "nvar", "width")
 
 
@@ -354,6 +341,8 @@ _RUNNERS = {
         ("tileable", "untileable"),
     ),
 }
+
+FAMILIES = tuple(_RUNNERS)
 
 
 def run_family(family, instances, mode, mutate=None):

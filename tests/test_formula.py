@@ -18,7 +18,6 @@ from ltlwb import (
     Prop,
     Top,
     Until,
-    ast_size,
     fragment_of,
     nvar,
     parse,
@@ -249,7 +248,3 @@ class TestStructure:
         assert chain(10000, Prop("p")) != chain(10000, Prop("q"))
         assert chain(10000, Prop("p")) != chain(9999, Prop("p"))
         assert chain(400, And(Prop("p"), Prop("q"))) != chain(400, And(Prop("q"), Prop("p")))
-
-    def test_ast_size_counts_occurrences(self):
-        assert ast_size(parse("p & p")) == 3
-        assert ast_size(parse("X (p U q)")) == 4

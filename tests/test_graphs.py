@@ -4,8 +4,26 @@ import random
 
 import pytest
 
-from ltlwb import And, Implies, Next, Or, Prop, Until, nvar, parse, temporal_depth
+from ltlwb import (
+    And,
+    Finally,
+    Globally,
+    Implies,
+    Next,
+    NotExpressible,
+    Or,
+    Prop,
+    Until,
+    fragment_of,
+    nvar,
+    parse,
+    rewrite_fragment,
+    subformulas,
+    temporal_depth,
+)
 from ltlwb import graphs
+from ltlwb.buchi import Release, to_nnf
+from ltlwb.checker import until_top_to_finally
 from ltlwb.graphs import (
     Decomposition,
     Graph,
@@ -19,6 +37,29 @@ from ltlwb.graphs import (
 )
 
 from helpers import random_formula
+
+
+_REFERENCE_OPS = {Next: "X", Finally: "F", Globally: "G", Until: "U", Release: "U"}
+
+
+def reference_measures(f):
+    """Temporal depth and temporal operator set of f, by a walk over its
+    subformulas that reads neither node field."""
+    table = {}
+    for node in subformulas(f):
+        kids = [table[c] for c in node.children()]
+        depth = max((d for d, _ in kids), default=0)
+        ops = frozenset().union(*(o for _, o in kids))
+        op = _REFERENCE_OPS.get(type(node))
+        table[node] = (depth + 1, ops | {op}) if op else (depth, ops)
+    return table[f]
+
+
+def _assert_node_measures(f):
+    for node in subformulas(f):
+        depth, ops = reference_measures(node)
+        assert node.td == temporal_depth(node) == depth, node
+        assert fragment_of(node) == ops, node
 
 
 def path_graph(n):
@@ -102,18 +143,18 @@ class TestSyntaxGraph:
         g = syntax_graph(parse("(p U !q) & p"))
         assert g.at == {(): "@0", (0,): "@1", (0, 0): "p", (0, 1): "@2",
                         (0, 1, 0): "q", (1,): "p"}
-        assert g.td == 1
 
     def test_one_walk_names_places_and_measures(self):
-        # reductions place witness vertices by g.at and certify td and nvar
-        # from the same walk, which counts a reused subformula object twice
+        # reductions place witness vertices by g.at and certify nvar from
+        # the same walk, which counts a reused subformula object twice; td
+        # and the fragment are the fields of the formula's own nodes
         rng = random.Random(229)
         for i in range(2000):
             f = random_formula(rng, rng.randint(1, 14), ops="XFGU")
             if i % 3 == 0:
                 f = rng.choice([And, Or, Until, lambda a, b: Implies(a, Next(b))])(f, f)
+            _assert_node_measures(f)
             g = syntax_graph(f)
-            assert g.td == temporal_depth(f)
             assert g.roles.count("prop") == nvar(f)
             assert set(g.at.values()) == set(g.names)
             role = dict(zip(g.names, g.roles))
@@ -127,6 +168,27 @@ class TestSyntaxGraph:
                     assert name.startswith("@") and role[name] != "prop"
             adjacent = {frozenset((g.names[a], g.names[b])) for a, b in g.edges}
             assert adjacent == {frozenset((g.at[p[:-1]], g.at[p])) for p in g.at if p}
+
+    def test_node_measures_of_built_formulas(self):
+        # every constructor sets td and opbits: formulas built by the parser,
+        # the rewriters and the normal form (with its Release nodes) all agree
+        # with the reference walk
+        rng = random.Random(331)
+        releases = 0
+        for _ in range(600):
+            f = random_formula(rng, rng.randint(1, 14), ops="XFGU")
+            built = [parse(str(f)), to_nnf(f), until_top_to_finally(f)]
+            for target in ("FG", "U", "XF", "XU", "G"):
+                try:
+                    built.append(rewrite_fragment(f, target))
+                except NotExpressible:
+                    pass
+            for g in built:
+                _assert_node_measures(g)
+            releases += any(isinstance(n, Release) for n in subformulas(built[1]))
+            if "U" not in reference_measures(f)[1]:
+                assert until_top_to_finally(f) is f
+        assert releases > 50
 
 
 class TestDecomposition:

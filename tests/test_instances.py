@@ -1,4 +1,4 @@
-"""Instance types, invariants, and text round trips."""
+"""Instance types, invariants, and their text formats."""
 
 import pytest
 
@@ -10,10 +10,6 @@ from ltlwb.instances import (
     RectTilingInstance,
     SquareTilingInstance,
     cnf_formula,
-    format_cnf3,
-    format_pwsat,
-    format_rect_tiling,
-    format_square_tiling,
     parse_cnf3,
     parse_pwsat,
     parse_rect_tiling,
@@ -24,11 +20,10 @@ from ltlwb.instances import (
 class TestCnf3:
     def test_round_trip(self):
         c = Cnf3(3, [(1, -2, 3), (2, 2, 2)])
-        assert parse_cnf3(format_cnf3(c)) == c
+        assert parse_cnf3("p cnf 3 2\n1 -2 3 0\n2 2 2 0\n") == c
 
     def test_format_is_dimacs(self):
-        c = Cnf3(2, [(1, -2, 1)])
-        assert format_cnf3(c) == "p cnf 2 1\n1 -2 1 0\n"
+        assert parse_cnf3("p cnf 2 1\n1 -2 1 0\n") == Cnf3(2, [(1, -2, 1)])
 
     def test_clause_width_enforced(self):
         with pytest.raises(InstanceFormatError):
@@ -54,11 +49,12 @@ class TestCnf3:
 class TestPwSat:
     def test_round_trip(self):
         i = PwSatInstance(3, [(1, 2), (-3,)], [(1, 2), (3,)], [1, 0])
-        assert parse_pwsat(format_pwsat(i)) == i
+        text = "p cnf 3 2\n1 2 0\n-3 0\npartition 1 1 2\npartition 2 3\ncapacity 1 1\ncapacity 2 0\n"
+        assert parse_pwsat(text) == i
 
     def test_format(self):
         i = PwSatInstance(2, [(1, -2)], [(2, 1)], [1])
-        assert format_pwsat(i) == "p cnf 2 1\n1 -2 0\npartition 1 1 2\ncapacity 1 1\n"
+        assert parse_pwsat("p cnf 2 1\n1 -2 0\npartition 1 1 2\ncapacity 1 1\n") == i
 
     def test_partitions_sorted(self):
         i = PwSatInstance(2, [(1,)], [(2, 1)], [0])
@@ -93,15 +89,15 @@ class TestPwSat:
 class TestTilings:
     def test_square_round_trip(self):
         t = SquareTilingInstance(("a", "b"), [("a", "b", "a", "a")], 3)
-        assert parse_square_tiling(format_square_tiling(t)) == t
+        assert parse_square_tiling("colors a b\ntile a b a a\nk 111\n") == t
 
     def test_square_format_unary(self):
         t = SquareTilingInstance(("a",), [("a", "a", "a", "a")], 4)
-        assert format_square_tiling(t) == "colors a\ntile a a a a\nk 1111\n"
+        assert parse_square_tiling("colors a\ntile a a a a\nk 1111\n") == t
 
     def test_rect_round_trip(self):
         t = RectTilingInstance(("a", "b"), [("a", "b", "b", "b"), ("b", "a", "b", "b")], "a", "a")
-        assert parse_rect_tiling(format_rect_tiling(t)) == t
+        assert parse_rect_tiling("colors a b\ntile a b b b\ntile b a b b\nbounds a a\n") == t
 
     def test_unknown_tile_color(self):
         with pytest.raises(InstanceFormatError):
