@@ -43,6 +43,7 @@ from .oracles import (
     solve_square_tiling,
 )
 from .parser import ParseError, parse
+from .propsat import ClauseError
 from .reductions import structure_graph
 
 _FORMAT_ERRORS = (ParseError, InstanceFormatError, KripkeFormatError, ValueError, OSError)
@@ -329,13 +330,14 @@ def main(argv=None):
     except _Usage as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except (RuntimeError, ClauseError) as e:
+        # RecursionError included; a ClauseError is a ValueError, but only
+        # an encoder fault hands the solver a bad literal
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
     except _FORMAT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except RuntimeError as e:
-        # RecursionError included
-        print("internal error: %s" % e, file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

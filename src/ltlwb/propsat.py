@@ -45,6 +45,11 @@ TSEITIN = {
 }
 
 
+class ClauseError(ValueError):
+    """A clause names literal 0 or a variable beyond the declared count.
+    The encoder alone builds clauses, so this is an internal fault."""
+
+
 class _Solver:
     def __init__(self, nvars):
         self.nvars = nvars
@@ -294,7 +299,8 @@ def solve_cdcl(clauses, nvars=None):
     """Satisfying assignment as a dict {var: bool}, or None if unsatisfiable.
 
     Clauses are sequences of nonzero integer literals over variables
-    1..nvars; a literal 0 or one beyond nvars raises ValueError.
+    1..nvars; a literal 0 or one beyond nvars raises ClauseError, a
+    ValueError.
 
     The cyclic garbage collector is paused for the call and re-enabled on
     the way out if it was enabled on the way in.  The solver builds only
@@ -318,12 +324,12 @@ def _solve(clauses, nvars):
         clauses = list(clauses)
     used = set(chain.from_iterable(clauses))
     if 0 in used:
-        raise ValueError("literal 0 in a clause")
+        raise ClauseError("literal 0 in a clause")
     top = max(max(used, default=0), -min(used, default=0))
     if nvars is None:
         nvars = top
     if top > nvars:
-        raise ValueError("literal exceeds declared variable count")
+        raise ClauseError("literal exceeds declared variable count")
     s = _Solver(nvars)
     watches = s.watches
     kept = s.clauses

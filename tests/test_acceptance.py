@@ -287,8 +287,8 @@ def test_pwsat_reduction_agreement():
         "%.0fs budget.  The cost floor is the certifying bounded-model "
         "call at the shape (1 + |S - K|, max(1, |S|)) that fg_sat takes "
         "from the formula's eventualities (7 prefix + 6 cycle positions "
-        "for both targets, about 3.1k variables and 4.3k clauses for the "
-        "F/G target and 4.1k and 5.3k for U); every unsatisfiable row "
+        "for both targets, about 1.6k variables and 2.6k clauses for the "
+        "F/G target and 2.4k and 3.4k for U); every unsatisfiable row "
         "must pay it.  Set "
         "LTLWB_ACCEPT_FULL=1 to run the whole family anyway."
         % (rows, 2 * family_size, elapsed / rows, estimate / 3600, budget)

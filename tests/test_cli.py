@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from ltlwb import checker, cli
+from ltlwb import checker, cli, fgsat
 
 
 def run(argv, capsys):
@@ -295,6 +295,32 @@ def test_check_failed_revalidation_is_internal_error(tmp_path, capsys, monkeypat
     assert code == 3
     assert len(err.splitlines()) == 1
     assert err.startswith("internal error: ")
+
+
+def test_bad_clause_from_encoder_is_internal_error(tmp_path, capsys, monkeypatch):
+    # solve_cdcl's literal checks raise a ValueError, which only an encoder
+    # fault can set off, so it must not exit 2 as bad input would
+    encode = fgsat._encode
+
+    def out_of_range(*args):
+        ids, nvars, clauses = encode(*args)
+        return ids, nvars, clauses + [(nvars + 1,)]
+
+    monkeypatch.setattr(fgsat, "_encode", out_of_range)
+    for mode, text in (("sat", "F p & G q\n"), ("sat-x", "X p & !q\n")):
+        f = _write(tmp_path, "f.ltl", text)
+        code, out, err = run(["check", mode, "--formula", f], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: ")
+
+
+def test_check_sat_x_outside_fragment_is_usage_error(tmp_path, capsys):
+    f = _write(tmp_path, "f.ltl", "F p & G q\n")
+    code, out, err = run(["check", "sat-x", "--formula", f], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 def test_check_deep_parentheses(tmp_path, capsys):

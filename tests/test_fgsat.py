@@ -2,16 +2,18 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
-from ltlwb import And, Finally, Globally, Implies, Next, Not, Or, Prop, fgsat, parse
+from ltlwb import And, Finally, Globally, Implies, Next, Not, Or, Prop, fgsat, parse, propsat
 from ltlwb.buchi import model_word
 from ltlwb.checker import _word_witness, until_top_to_finally
 from ltlwb.fgsat import MIXED, NEGATIVE, POSITIVE, fg_sat, x_sat
-from ltlwb.formula import subformulas
+from ltlwb.formula import subformulas, temporal_depth
 from ltlwb.instances import parse_cnf3, parse_pwsat
 from ltlwb.kripke import eval_on_lasso
+from ltlwb.propsat import solve_cdcl
 from ltlwb.reductions import reduce_3sat_to_mc, reduce_pwsat_to_sat
 
 from helpers import random_formula
@@ -87,12 +89,14 @@ class TestXSat:
 
     def test_only_read_pairs_are_encoded(self, monkeypatch):
         # X has no variable and X^n p is read only at n, so the encoding
-        # does not grow with n, and a deep chain needs no recursion
-        sizes = []
+        # does not grow with n, and a deep chain needs no recursion.  The
+        # fold refutes both formulas with no solver call, so the sizes are
+        # those of the encoding with the fold switched off
+        calls = []
         solve = fgsat.solve_cdcl
 
         def counting(clauses, nvars=None):
-            sizes.append(len(clauses))
+            calls.append(nvars)
             return solve(clauses, nvars=nvars)
 
         def chain(n, f):
@@ -102,10 +106,24 @@ class TestXSat:
 
         monkeypatch.setattr(fgsat, "solve_cdcl", counting)
         p = Prop("p")
+        sizes = []
         for n in (10, 10_000):
-            assert x_sat(And(chain(n, p), chain(n, Not(p)))) is None
-            assert x_sat(And(chain(n, p), Not(chain(n, p)))) is None
+            for f in (And(chain(n, p), chain(n, Not(p))),
+                      And(chain(n, p), Not(chain(n, p)))):
+                assert x_sat(f) is None
+                subs = subformulas(f)
+                kids, pol = fgsat._structure(subs)
+                with monkeypatch.context() as m:
+                    m.setattr(fgsat, "_fold", _no_fold)
+                    _, nvars, clauses = fgsat._encode(subs, kids, pol, n, 1)
+                sizes.append((nvars, len(clauses)))
+        assert calls == []
         assert sizes[0] == sizes[2] and sizes[1] == sizes[3]
+
+
+def _no_fold(subs, *rest):
+    """A fold that forces nothing: _encode then builds the unfolded encoding."""
+    return [{} for _ in subs]
 
 
 def _certify(text):
@@ -284,21 +302,113 @@ class TestCertifyingShape:
     def test_one_sided_clauses_are_a_subset(self, monkeypatch):
         # with every node marked mixed, the encoder emits both halves of
         # every definition; the polarity-aware encoding keeps a subset of
-        # those clauses over the same variables
-        encodings = []
-        monkeypatch.setattr(
-            fgsat, "solve_cdcl", lambda clauses, nvars=None: encodings.append(clauses)
-        )
+        # those clauses over the same variables.  The fold is switched off,
+        # since it numbers the variables by what polarity lets it fix
+        monkeypatch.setattr(fgsat, "_fold", _no_fold)
         rng = random.Random(308)
         for _ in range(200):
             f = _shared_formula(rng)
             subs = subformulas(f)
             kids, pol = fgsat._structure(subs)
-            fgsat._solve_shape(subs, kids, pol, 3, 2)
-            fgsat._solve_shape(subs, kids, [MIXED] * len(subs), 3, 2)
-            one_sided, both = encodings[-2:]
+            _, nvars, one_sided = fgsat._encode(subs, kids, pol, 3, 2)
+            _, nvars_both, both = fgsat._encode(subs, kids, [MIXED] * len(subs), 3, 2)
+            assert nvars == nvars_both
             assert set(one_sided) <= set(both)
             assert len(one_sided) < len(both) or all(p == MIXED for p in pol[:-1])
+
+
+class TestFold:
+    # the encoder folds the (subformula, position) pairs whose value
+    # level-0 unit propagation forces; switching the fold off gives the
+    # unfolded encoding, the reference for every check here
+
+    @staticmethod
+    def _cases(rng, count):
+        """(formula, shapes): random {F,G} formulas, plain and with shared
+        subformulas, at the ladder's shapes and one between, and random
+        {X} formulas at their shape and a longer one."""
+        for n in range(count):
+            if n % 3 == 2:
+                f = random_formula(rng, rng.randint(1, 14), ops="X", names=("p", "q"))
+                td = temporal_depth(f)
+                yield f, [(td, 1), (td + 1, 2)]
+                continue
+            f = _shared_formula(rng) if n % 3 else random_formula(
+                rng, rng.randint(1, 18), ops="FG")
+            subs = subformulas(f)
+            kids, pol = fgsat._structure(subs)
+            yield f, [(1, 1), (2, 3), fgsat._certifying_shape(subs, kids, pol)]
+
+    def test_folded_pairs_are_what_level_zero_propagation_fixes(self, monkeypatch):
+        rng = random.Random(311)
+        seen = {"folded": 0, "clash": 0, "sat": 0, "unsat": 0}
+        for f, shapes in self._cases(rng, 900):
+            subs = subformulas(f)
+            kids, pol = fgsat._structure(subs)
+            for shape in shapes:
+                folded = fgsat._encode(subs, kids, pol, *shape)
+                with monkeypatch.context() as m:
+                    m.setattr(fgsat, "_fold", _no_fold)
+                    ids, nvars, clauses = fgsat._encode(subs, kids, pol, *shape)
+                solver = propsat._Solver(nvars)
+                for c in clauses:
+                    solver.add_clause(c)
+                refuted = not solver.ok or solver.propagate() is not None
+                unsat = solve_cdcl(clauses, nvars=nvars) is None
+                if folded is None:
+                    # a clash is a unit-propagation refutation
+                    assert refuted, (f, shape)
+                    seen["clash"] += 1
+                    continue
+                f_ids, f_nvars, f_clauses = folded
+                assert (solve_cdcl(f_clauses, nvars=f_nvars) is None) == unsat, (f, shape)
+                seen["unsat" if unsat else "sat"] += 1
+                if refuted:
+                    continue
+                # each pair's unfolded variable maps to its folded literal
+                to_folded = {}
+                for row, f_row in zip(ids, f_ids):
+                    assert row.keys() == f_row.keys()
+                    for i, v in row.items():
+                        lit = f_row[i]
+                        assert to_folded.setdefault(v, lit) == lit, (f, shape)
+                        if abs(lit) == fgsat.TRUE:
+                            assert solver.assign[v] is (lit > 0), (f, shape, v)
+                            seen["folded"] += 1
+                assert sorted(set(to_folded.values()) - {fgsat.TRUE, -fgsat.TRUE}) \
+                    == list(range(1, f_nvars + 1))
+                # the folded clauses are the unfolded ones with the folded
+                # literals put in: a true one drops the clause, a false one
+                # drops out of it
+                expected = []
+                for c in clauses:
+                    mapped = [to_folded[x] if x > 0 else -to_folded[-x] for x in c]
+                    if fgsat.TRUE not in mapped:
+                        expected.append(tuple(x for x in mapped if x != -fgsat.TRUE))
+                assert Counter(expected) == Counter(f_clauses), (f, shape)
+        assert seen["folded"] >= 8000 and seen["clash"] >= 120
+        assert seen["sat"] >= 1800 and seen["unsat"] >= 60
+
+    @pytest.mark.parametrize("target", ["FG", "U"])
+    def test_pwsat_fold_reach(self, target, monkeypatch):
+        # at the certifying shape level 0 fixes about half the variables of
+        # the unfolded encoding; the fold takes most of them
+        text, ops, _ = TestPinnedWords.PWSAT[target]
+        f = until_top_to_finally(reduce_pwsat_to_sat(parse_pwsat(text), ops).formula)
+        subs = subformulas(f)
+        kids, pol = fgsat._structure(subs)
+        shape = fgsat._certifying_shape(subs, kids, pol)
+        _, f_nvars, f_clauses = fgsat._encode(subs, kids, pol, *shape)
+        monkeypatch.setattr(fgsat, "_fold", _no_fold)
+        _, nvars, clauses = fgsat._encode(subs, kids, pol, *shape)
+        solver = propsat._Solver(nvars)
+        for c in clauses:
+            solver.add_clause(c)
+        assert solver.propagate() is None
+        fixed = sum(value is not None for value in solver.assign[1:])
+        assert fixed > nvars // 3
+        assert nvars - f_nvars >= 0.8 * fixed
+        assert len(f_clauses) < 0.75 * len(clauses)
 
 
 def _word_text(found):
@@ -333,6 +443,27 @@ class TestPinnedWords:
         assert hashlib.sha256(_word_text(found).encode()).hexdigest()[:16] == digest
         s, lasso = _word_witness(*found)
         assert eval_on_lasso(s, lasso, emitted)
+
+    @pytest.mark.parametrize("target", sorted(PWSAT))
+    def test_ladder_is_two_calls(self, target, monkeypatch):
+        # (1, 1), then the certifying shape; no shape between them
+        shapes, calls = [], []
+        solve, solve_shape = fgsat.solve_cdcl, fgsat._solve_shape
+
+        def at_shape(subs, kids, pol, prefix_len, cycle_len):
+            shapes.append((prefix_len, cycle_len))
+            return solve_shape(subs, kids, pol, prefix_len, cycle_len)
+
+        def counting(clauses, nvars=None):
+            calls.append(shapes[-1])
+            return solve(clauses, nvars=nvars)
+
+        monkeypatch.setattr(fgsat, "_solve_shape", at_shape)
+        monkeypatch.setattr(fgsat, "solve_cdcl", counting)
+        text, ops, _ = self.PWSAT[target]
+        emitted = reduce_pwsat_to_sat(parse_pwsat(text), ops).formula
+        assert fg_sat(until_top_to_finally(emitted)) is not None
+        assert calls == [(1, 1), (7, 6)]
 
     def test_3sat_x_formula(self):
         cnf = parse_cnf3("p cnf 4 3\n1 -2 3 0\n-1 2 4 0\n2 -3 -4 0\n")
