@@ -72,13 +72,8 @@ def _fragment_text(f):
 
 
 def _cert_text(certs):
-    parts = []
-    for key in ("td", "delta", "nvar"):
-        if key in certs:
-            parts.append("%s=%d" % (key, certs[key]))
-    if "width" in certs:
-        parts.append("width<=%d" % certs["width"])
-    return " ".join(parts)
+    return " ".join(("width<=%d" if k == "width" else k + "=%d") % certs[k]
+                    for k in verify_mod._CERT_ORDER if k in certs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +137,7 @@ def cmd_reduce(args):
     inst = _PARSERS[args.family](_read(args.input))
     out = verify_mod._RUNNERS[args.family][1](inst)
     os.makedirs(args.outdir, exist_ok=True)
-    emitted = out.formula if out.mc is None else out.mc.formula
-    _write(os.path.join(args.outdir, "formula.txt"), format_formula(emitted) + "\n")
+    _write(os.path.join(args.outdir, "formula.txt"), format_formula(out.emitted) + "\n")
     if out.mc is not None:
         _write(
             os.path.join(args.outdir, "structure.txt"),

@@ -184,6 +184,8 @@ def solve_rect_tiling(t, bound=None):
     n = t.n
     if bound is None:
         bound = len(t.tiles) ** n + 1
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     rows = _compatible_rows(t.tiles)
     starts = [r for r in rows if all(t.tiles[i][0] == t.top for i in r)]
     ends = {r for r in rows if all(t.tiles[i][1] == t.bottom for i in r)}

@@ -1,14 +1,16 @@
 """Encodings of saturated SAT and tiling problems into small-fragment LTL.
 
-Each reduction emits the target instance together with a machine-checkable
-witness: a path decomposition of the emitted formula's syntax graph (or of
-the emitted structure) whose width backs the certificate the construction
-claims.  Witnesses are built by placing every syntax vertex on a line of
-positions and taking interval hulls, so validity reduces to making sure
-both endpoints of every syntax edge share a position somewhere.
+Each reduction emits the target instance together with a recipe for a
+machine-checkable witness: a path decomposition of the emitted formula's
+syntax graph (or of the emitted structure) whose width backs the
+certificate the construction claims.  The recipe runs when the witness or
+the certificates are first read.  Witnesses are built by placing every
+syntax vertex on a line of positions and taking interval hulls, so
+validity reduces to making sure both endpoints of every syntax edge share
+a position somewhere.
 """
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .checker import McInstance
 from .formula import (
@@ -40,21 +42,50 @@ RECT_XF_WIDTH = 24
 RECT_U_WIDTH = 29
 
 
-@dataclass(frozen=True, eq=False)
 class ReductionOutput:
     """Target instance plus the decomposition witness and its certificates.
 
     Exactly one of formula (satisfiability target) and mc (model-checking
-    target) is set.  The witness, when present, is a path decomposition of
-    witness_graph, which is either the emitted formula's syntax graph or
-    the emitted structure viewed as an undirected graph.
-    """
+    target) is set.  recipe() returns (witness_graph, witness), a path
+    decomposition of the emitted formula's syntax graph or of the emitted
+    structure as an undirected graph, on the first read of either or of
+    certificates."""
 
-    formula: object = None
-    mc: object = None
-    witness: Decomposition = None
-    witness_graph: Graph = None
-    certificates: dict = field(default_factory=dict)
+    def __init__(self, recipe, formula=None, mc=None):
+        self.formula = formula
+        self.mc = mc
+        self._recipe = recipe
+
+    @property
+    def emitted(self):
+        """The emitted formula, of either target."""
+        return self.formula if self.mc is None else self.mc.formula
+
+    @cached_property
+    def _built(self):
+        return self._recipe()
+
+    @property
+    def witness_graph(self):
+        return self._built[0]
+
+    @property
+    def witness(self):
+        return self._built[1]
+
+    @cached_property
+    def certificates(self):
+        """td from the emitted formula's root; nvar from the proposition
+        vertices of a syntax witness graph, else by a walk of the formula;
+        delta of the structure, if any; the witness's width."""
+        g, witness = self._built
+        f = self.emitted
+        certs = {"td": temporal_depth(f),
+                 "nvar": nvar(f) if g.at is None else g.roles.count("prop")}
+        if self.mc is not None:
+            certs["delta"] = branching_degree(self.mc.structure)
+        certs["width"] = width(witness)
+        return certs
 
 
 def drop_conjunct(f):
@@ -98,11 +129,12 @@ def _chain_items(node, path, count):
 
 
 class _SyntaxPlacer:
-    """Positions-on-a-line builder for a path decomposition of syntax
-    graph g; occurrences are addressed by their child-index paths."""
+    """Places the syntax vertices of emitted on a line of positions, for a
+    path decomposition of its syntax graph; occurrences are addressed by
+    their child-index paths."""
 
-    def __init__(self, g):
-        self.vertices = g.names
+    def __init__(self, emitted):
+        self.graph = g = syntax_graph(emitted)
         self.names = g.at
         self.spots = {}
         self.wides = set()
@@ -164,7 +196,7 @@ class _SyntaxPlacer:
                 return node, path
 
     def bags(self):
-        missing = set(self.vertices) - self.wides - set(self.spots)
+        missing = set(self.graph.names) - self.wides - set(self.spots)
         if missing:
             raise RuntimeError(
                 "decomposition recipe left %d vertices unplaced" % len(missing)
@@ -196,15 +228,6 @@ def _xpow(f, p):
     for _ in range(p):
         f = Next(f)
     return f
-
-
-def _mk_certs(f, g, witness, structure=None):
-    """Certificates of an emitted formula f with syntax graph g."""
-    certs = {"td": temporal_depth(f), "nvar": g.roles.count("prop")}
-    if structure is not None:
-        certs["delta"] = branching_degree(structure)
-    certs["width"] = width(witness)
-    return certs
 
 
 # --- saturated SAT into satisfiability -------------------------------------
@@ -307,14 +330,10 @@ def reduce_pwsat_to_sat(inst, target):
         emitted = psi
     else:
         emitted = rewrite_fragment(psi, target)
-
-    g = syntax_graph(emitted)
-    witness = _pwsat_witness(emitted, g, inst)
-    return ReductionOutput(formula=emitted, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(emitted, g, witness))
+    return ReductionOutput(lambda: _pwsat_witness(emitted, inst), formula=emitted)
 
 
-def _pwsat_witness(emitted, g, inst):
+def _pwsat_witness(emitted, inst):
     """Sections along variable levels, then along each block's counter.
 
     Clause, freeze, signal, staircase, and persistence conjuncts live in
@@ -336,7 +355,7 @@ def _pwsat_witness(emitted, g, inst):
         acc += sizes[p] + 1
     section = lambda p, j: offsets[p - 1] + j + 1
 
-    pl = _SyntaxPlacer(g)
+    pl = _SyntaxPlacer(emitted)
     items, joins = _chain_items(emitted, (), 10)
     for p, _ in joins:
         pl.wide(p)
@@ -382,7 +401,7 @@ def _pwsat_witness(emitted, g, inst):
     node, path = entered(9)
     pl.chain(node, path, n + 2, [level(i) for i in range(0, n + 2)])
 
-    return pl.bags()
+    return pl.graph, pl.bags()
 
 
 # --- CNF into universal model checking --------------------------------------
@@ -417,17 +436,15 @@ def reduce_3sat_to_mc(c, op):
         return _xpow(prop, abs(lit))
 
     psi = disj([conj([flipped(l) for l in cl]) for cl in c.clauses])
-    mc = McInstance(s, "w0", psi)
+    return ReductionOutput(lambda: _3sat_witness(s, n), mc=McInstance(s, "w0", psi))
 
-    bags = [{"w0", "w1p", "w1n"}]
-    for i in range(1, n):
-        bags.append({"w%dp" % i, "w%dn" % i,
-                     "w%dp" % (i + 1), "w%dn" % (i + 1)})
-    witness = Decomposition(bags)
-    certs = {"td": temporal_depth(psi), "nvar": nvar(psi),
-             "delta": branching_degree(s), "width": width(witness)}
-    return ReductionOutput(mc=mc, witness=witness,
-                           witness_graph=structure_graph(s), certificates=certs)
+
+def _3sat_witness(s, n):
+    """Consecutive choice levels share a bag: width 3 for any n."""
+    bags = [{"w0", "w1p", "w1n"}] + [
+        {"w%dp" % i, "w%dn" % i, "w%dp" % (i + 1), "w%dn" % (i + 1)}
+        for i in range(1, n)]
+    return structure_graph(s), Decomposition(bags)
 
 
 # --- square tiling into universal model checking -----------------------------
@@ -472,7 +489,7 @@ def _square_checks(t, i, opf):
     kk = k * k
     out = []
     for c in t.colors:
-        if opf is _sq_next:
+        if opf is _xpow:
             # a next-step from the last cell lands on the end world
             right = opf(Or(Prop("q_end"), Prop("c_%s_l_%d" % (c, i + 1))), 1)
         else:
@@ -481,7 +498,7 @@ def _square_checks(t, i, opf):
             right = opf(Prop("c_%s_l_%d" % (c, i + 1)), 1)
         pr = Or(Prop("q_border"),
                 Implies(Prop("c_%s_r_%d" % (c, i)), right))
-        if opf is _sq_next:
+        if opf is _xpow:
             pd = Implies(Prop("c_%s_d_%d" % (c, i)),
                          opf(Or(Prop("q_end"),
                                 Prop("c_%s_u_%d" % (c, i + k))), k))
@@ -494,10 +511,6 @@ def _square_checks(t, i, opf):
     return out
 
 
-def _sq_next(f, steps):
-    return _xpow(f, steps)
-
-
 def reduce_sqtiling_to_mc_x(t):
     """Serialize the square row-major along a path and pin each position
     with a tower of next-operators; the emitted negation holds on all
@@ -505,15 +518,11 @@ def reduce_sqtiling_to_mc_x(t):
     k = t.k
     kk = k * k
     s = _square_structure(t, with_depth=False)
-    blocks = [_xpow(conj(_square_checks(t, i, _sq_next)), i)
+    blocks = [_xpow(conj(_square_checks(t, i, _xpow)), i)
               for i in range(1, kk + 1)]
-    psi = conj(blocks)
-    emitted = Not(psi)
-    mc = McInstance(s, "wstart", emitted)
-    g = syntax_graph(emitted)
-    witness = _square_witness(emitted, g, t, op=None)
-    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(emitted, g, witness, s))
+    emitted = Not(conj(blocks))
+    return ReductionOutput(lambda: _square_witness(emitted, t, op=None),
+                           mc=McInstance(s, "wstart", emitted))
 
 
 def _opf_factory(op):
@@ -538,16 +547,12 @@ def reduce_sqtiling_to_mc_t(t, op):
         opf(And(Prop("d_%d" % i), conj(_square_checks(t, i, opf))), 1)
         for i in range(1, kk)
     ]
-    psi = conj(blocks)
-    emitted = Not(psi)
-    mc = McInstance(s, "wstart", emitted)
-    g = syntax_graph(emitted)
-    witness = _square_witness(emitted, g, t, op=op)
-    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(emitted, g, witness, s))
+    emitted = Not(conj(blocks))
+    return ReductionOutput(lambda: _square_witness(emitted, t, op=op),
+                           mc=McInstance(s, "wstart", emitted))
 
 
-def _square_witness(emitted, g, t, op):
+def _square_witness(emitted, t, op):
     """One position per (square cell, colour); a block's tower or
     eventuality cluster collapses into the block's last position, and the
     top-level glue spans everything, which is where the quadratic bag
@@ -555,13 +560,13 @@ def _square_witness(emitted, g, t, op):
     ncolors = len(t.colors)
     kk = t.k * t.k
     nblocks = kk if op is None else kk - 1
-    pl = _SyntaxPlacer(g)
+    pl = _SyntaxPlacer(emitted)
     pl.wide(())
     if nblocks == 0:
         # a single-cell square under an eventuality operator has nothing to
         # check; the emitted formula is just the negated truth constant
         pl.wide((0,))
-        return pl.bags()
+        return pl.graph, pl.bags()
     items, joins = _chain_items(emitted.arg, (0,), nblocks)
     for p, _ in joins:
         pl.wide(p)
@@ -580,7 +585,7 @@ def _square_witness(emitted, g, t, op):
             node, path = node.right, path + (1,)
         homes = [pos(b, c) for c in range(ncolors)]
         pl.chain(node, path, ncolors, homes)
-    return pl.bags()
+    return pl.graph, pl.bags()
 
 
 # --- rectangle tiling into universal model checking ---------------------------
@@ -633,23 +638,19 @@ def reduce_recttiling_to_mc_xf(t):
                      _xpow(Or(Prop("q_end"), cp(c, "u")), n + 2))
         checks.append(And(pr, pd))
     always_part = Not(Finally(Not(conj(checks))))
-    psi = conj([first_part, last_part, always_part])
-    emitted = Not(psi)
+    emitted = Not(conj([first_part, last_part, always_part]))
     s = _rect_structure(t, with_depth=False)
-    mc = McInstance(s, "wleft", emitted)
-    g = syntax_graph(emitted)
-    witness = _rect_xf_witness(emitted, g, t)
-    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(emitted, g, witness, s))
+    return ReductionOutput(lambda: _rect_xf_witness(emitted, t),
+                           mc=McInstance(s, "wleft", emitted))
 
 
-def _rect_xf_witness(emitted, g, t):
+def _rect_xf_witness(emitted, t):
     """Marker propositions ride in every bag; each tower of
     next-operators unrolls into a run of paired positions and each colour
     check takes a single one, so bag sizes never see the tower lengths."""
     n = t.n
     ncolors = len(t.colors)
-    pl = _SyntaxPlacer(g)
+    pl = _SyntaxPlacer(emitted)
     for name in ("q_left", "q_right", "q_end"):
         pl.wide_name(name)
     pl.wide(())
@@ -715,7 +716,7 @@ def _rect_xf_witness(emitted, g, t):
         pl.at(p, homes[j - 2])
         pl.at(p, homes[j - 1])
 
-    return _top_up(pl.bags(), RECT_XF_WIDTH)
+    return pl.graph, _top_up(pl.bags(), RECT_XF_WIDTH)
 
 
 def reduce_recttiling_to_mc_u(t):
@@ -747,22 +748,18 @@ def reduce_recttiling_to_mc_u(t):
                                                 dp(c, "u", i)))))))
             checks.append(And(pr, pd))
     always_part = Not(Until(Top(), Not(conj(checks))))
-    psi = conj([first_part, last_part, always_part])
-    emitted = Not(psi)
+    emitted = Not(conj([first_part, last_part, always_part]))
     s = _rect_structure(t, with_depth=True)
-    mc = McInstance(s, "wleft", emitted)
-    g = syntax_graph(emitted)
-    witness = _rect_u_witness(emitted, g, t)
-    return ReductionOutput(mc=mc, witness=witness, witness_graph=g,
-                           certificates=_mk_certs(emitted, g, witness, s))
+    return ReductionOutput(lambda: _rect_u_witness(emitted, t),
+                           mc=McInstance(s, "wleft", emitted))
 
 
-def _rect_u_witness(emitted, g, t):
+def _rect_u_witness(emitted, t):
     """Column-indexed checks take one position each; boundary parts and
     the unindexed propositions they mention span every bag."""
     n = t.n
     ncolors = len(t.colors)
-    pl = _SyntaxPlacer(g)
+    pl = _SyntaxPlacer(emitted)
     pl.wide(())
     items, joins = _chain_items(emitted.arg, (0,), 3)
     for p, _ in joins:
@@ -779,7 +776,7 @@ def _rect_u_witness(emitted, g, t):
     count = n * ncolors
     homes = list(range(2, count + 2))
     pl.chain(node, path, count, homes)
-    return _top_up(pl.bags(), RECT_U_WIDTH)
+    return pl.graph, _top_up(pl.bags(), RECT_U_WIDTH)
 
 
 def _top_up(dec, target_width):

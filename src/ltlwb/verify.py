@@ -22,6 +22,7 @@ from .instances import (
     SquareTilingInstance,
 )
 from .oracles import (
+    PWSAT_VAR_LIMIT,
     solve_cnf,
     solve_pwsat,
     solve_rect_tiling,
@@ -37,7 +38,7 @@ from .reductions import (
     reduce_sqtiling_to_mc_x,
 )
 
-_CERT_ORDER = ("td", "delta", "nvar", "width")
+_CERT_ORDER = ("td", "delta", "nvar", "width")  # how rows and `reduce` print them
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def pwsat_instances_seeded(nvars, nclauses, count, seed):
         clauses = [
             tuple(rng.choice(lits) for _ in range(3)) for _ in range(nclauses)
         ]
-        nblocks = rng.choice((1, 2))
+        nblocks = min(rng.choice((1, 2)), nvars)  # one variable fills one block
         partition = rng.choice(list(_partitions(nvars, nblocks)))
         caps = [rng.randint(0, len(b)) for b in partition]
         yield PwSatInstance(nvars, clauses, list(partition), caps)
@@ -376,8 +377,14 @@ def run_family(family, instances, mode, mutate=None):
 
 def family_instances(family, *, exhaustive, seed=0, count=50, nvars=3,
                      clauses=2, colors=2, tiles=2, k=2):
-    """Instance stream for a family, either a full sweep within bounds or
-    a seeded sample of the given size."""
+    """Instance stream for a family, a full sweep within bounds or a seeded
+    sample; out-of-range vars or colors raise ValueError before any draw."""
+    if family.startswith(("pwsat", "3sat")) and nvars < 1:
+        raise ValueError("vars must be at least 1, got %d" % nvars)
+    if family.startswith("pwsat") and nvars > PWSAT_VAR_LIMIT:
+        raise ValueError("vars must be at most the oracle's %d, got %d" % (PWSAT_VAR_LIMIT, nvars))
+    if family.startswith(("sqtile-", "recttile-")) and not 1 <= colors <= 3:
+        raise ValueError("colors must be 1, 2 or 3, got %d" % colors)
     if family in ("pwsat", "pwsat-u"):
         if exhaustive:
             return pwsat_instances(nvars, clauses)

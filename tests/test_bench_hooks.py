@@ -21,3 +21,16 @@ def test_span_install_finds_every_name(monkeypatch):
     finally:
         tracer.restore()
     assert ltlwb.graphs.check_decomposition is original
+
+
+def test_reduction_problems_pass_on_every_family(monkeypatch):
+    """What the benchmark's independent check reads of a reduction's
+    output (formula, witness, witness graph, certificates) is still there
+    and still consistent, one small instance per family."""
+    monkeypatch.syspath_prepend(BENCH)
+    import workloads
+
+    for family in ltlwb.verify.FAMILIES:
+        inst = next(ltlwb.verify.family_instances(family, exhaustive=False, seed=1, count=1))
+        out = ltlwb.verify._RUNNERS[family][1](inst)
+        assert workloads.reduction_problems(family, inst, out, out.certificates) == [], family

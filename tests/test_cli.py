@@ -368,6 +368,18 @@ def test_oracle_rect_tiling(tmp_path, capsys):
     assert out.splitlines()[0].startswith("tileable m=")
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_oracle_rect_bound_below_one_is_usage_error(tmp_path, capsys, bound):
+    f = _write(tmp_path, "t.tile", "colors a\ntile a a a a\nbounds a a\n")
+    code, out, err = run(["oracle", "recttile-u", f, "--bound", bound], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, err = run(["oracle", "recttile-u", f, "--bound", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "tileable m=1"
+
+
 def test_oracle_pwsat(tmp_path, capsys):
     text = (
         "p cnf 2 1\n1 -2 2 0\n"
@@ -428,3 +440,31 @@ def test_seeded_verify_row_count(capsys):
     assert code == 0
     rows = [l for l in out.splitlines() if l.startswith("#")]
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "pwsat", "vars=0"],
+    ["verify", "pwsat-u", "vars=0"],
+    ["verify", "3sat-f", "vars=0"],
+    ["verify", "3sat-x", "vars=0", "--exhaustive"],
+    ["verify", "pwsat-u", "vars=21", "--exhaustive"],
+    ["verify", "pwsat", "vars=25"],
+    ["verify", "recttile-u", "colors=0"],
+    ["verify", "sqtile-x", "colors=0", "--exhaustive"],
+    ["verify", "sqtile-f", "colors=4"],
+    ["verify", "recttile-xf", "colors=4", "--exhaustive"],
+])
+def test_verify_out_of_range_bound_is_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_verify_edge_bounds_still_run(capsys):
+    for argv in (["verify", "pwsat", "vars=1", "--count", "2"],
+                 ["verify", "recttile-u", "colors=3", "--count", "2"],
+                 ["verify", "sqtile-x", "colors=1", "--count", "2"]):
+        code, out, err = run(argv, capsys)
+        assert code == 0, argv
+        assert out.endswith("-> pass\n")

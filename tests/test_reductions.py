@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ltlwb import And, Not, Or, Prop, conj
+from ltlwb import And, Not, Or, Prop, conj, reductions
 from ltlwb.checker import McInstance, mc_universal, sat
 from ltlwb.formula import fragment_of, nvar, temporal_depth
 from ltlwb.graphs import check_decomposition, width
@@ -33,6 +33,7 @@ from ltlwb.reductions import (
     reduce_sqtiling_to_mc_t,
     reduce_sqtiling_to_mc_x,
 )
+from ltlwb.verify import _RUNNERS, FAMILIES, family_instances
 
 
 def check_output(out):
@@ -46,6 +47,30 @@ def check_output(out):
     if out.mc is not None:
         assert validate_structure(out.mc.structure) == []
         assert out.certificates["delta"] == branching_degree(out.mc.structure)
+
+
+class TestLazyOutput:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_emitted_read_builds_no_graph(self, family, monkeypatch):
+        calls = []
+        for name in ("syntax_graph", "structure_graph"):
+            original = getattr(reductions, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(reductions, name, counted)
+        inst = next(family_instances(family, exhaustive=False, seed=5, count=1))
+        out = _RUNNERS[family][1](inst)
+        assert (out.formula if out.mc is None else out.mc.formula) is not None
+        assert calls == []
+        certs = out.certificates
+        assert out.witness is out.witness
+        assert out.witness_graph is out.witness_graph
+        assert out.certificates is certs
+        assert calls == ["structure_graph" if family.startswith("3sat") else "syntax_graph"]
+        check_output(out)
 
 
 class TestDropConjunct:
